@@ -60,8 +60,9 @@ void barrier_table() {
   for (int members : {1, 2, 4, 8, 12, 18}) {
     t.row(members, barrier_cost(members));
   }
-  note("the central-counter barrier is linear-ish in members: each arrival\n"
-       "is a shared-memory update through the one FLEX bus.");
+  note("the combining-tree barrier grows with tree depth (log_k members):\n"
+       "arrivals gather in locally polled counters and only the root's\n"
+       "release crosses the global bus.");
 }
 
 void critical_table() {

@@ -127,10 +127,28 @@ Tick Engine::run() {
 }
 
 Tick Engine::run_until(Tick limit) {
+  // The horizon bounds try_advance so a sleep never carries the clock past
+  // `limit`; it is restored even when step() rethrows a body failure.
+  struct HorizonScope {
+    Tick& horizon;
+    Tick saved;
+    ~HorizonScope() { horizon = saved; }
+  } scope{horizon_, horizon_};
+  horizon_ = limit;
   while (!queue_.empty() && queue_.next_tick() <= limit) {
     step();
   }
   return now_;
+}
+
+bool Engine::try_advance(Tick at) {
+  at = std::max(at, now_);
+  if (at > horizon_ || (!queue_.empty() && queue_.next_tick() <= at)) {
+    return false;
+  }
+  now_ = at;
+  queue_.advance_to(at);
+  return true;
 }
 
 void Engine::reap_finished() {

@@ -38,8 +38,9 @@ enum class Backend {
 ///
 /// Determinism contract: events at equal ticks fire in schedule order; only
 /// one process body runs at a time; virtual time advances only between
-/// events. Given the same inputs, a simulation always produces the same
-/// trace — on either backend.
+/// events, or inside a sleep whose resume would be the next event (see
+/// try_advance). Given the same inputs, a simulation always produces the
+/// same trace — on either backend.
 ///
 /// An Engine and all its processes run on the thread that constructed it.
 class Engine {
@@ -76,7 +77,8 @@ class Engine {
 
   /// Run until the event queue is empty. Returns the final tick.
   Tick run();
-  /// Run events with tick <= `limit`. Returns the tick reached.
+  /// Run events with tick <= `limit`. Returns the tick reached. While it
+  /// runs, `limit` is the horizon for try_advance().
   Tick run_until(Tick limit);
   /// Fire a single event if one is pending. Returns false when idle.
   bool step();
@@ -101,6 +103,8 @@ class Engine {
   /// long-lived sessions with dynamic task churn can force it at a barrier.
   void reap_finished();
 
+  /// Events dispatched. A sleep advanced in place by try_advance() is not
+  /// an event and is not counted.
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
   /// Events still queued (0 after run() unless run_until stopped early).
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
@@ -113,6 +117,12 @@ class Engine {
  private:
   friend class Process;
 
+  /// Called from a sleeping process body: when `at` is within the run
+  /// horizon and no queued event is due at or before it, the sleeper's
+  /// resume would be the very next event dispatched, so the clock moves to
+  /// `at` in place and true is returned (no event, no context switch).
+  /// Returns false, changing nothing, when the sleep must be scheduled.
+  bool try_advance(Tick at);
   /// Called from a process body that threw (other than ProcessKilled): the
   /// exception is stashed and rethrown from the run loop.
   void note_failure(std::exception_ptr e) { failure_ = std::move(e); }
@@ -128,6 +138,7 @@ class Engine {
   Backend backend_;
   fiber::Context host_ctx_;  ///< the engine loop's own context (fiber backend)
   Tick now_ = 0;
+  Tick horizon_ = kForever;  ///< run_until's limit while it runs
   bool shutting_down_ = false;
   EventQueue queue_;
   std::vector<std::unique_ptr<Process>> processes_;   ///< live + not yet reaped

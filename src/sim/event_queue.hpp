@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -51,6 +52,15 @@ class EventQueue {
     if (fifo_.empty()) return heap_.front().at;
     if (heap_.empty()) return fifo_.front().at;
     return std::min(heap_.front().at, fifo_.front().at);
+  }
+
+  /// The clock moved to `at` without a pop (Engine::try_advance advanced a
+  /// sleep in place). Valid only when no event is due at or before `at`, so
+  /// the FIFO is empty; later pushes at `at` take the same-tick fast path.
+  void advance_to(Tick at) {
+    assert(empty() || next_tick() > at);
+    current_tick_ = at;
+    has_current_ = true;
   }
 
   /// Remove and return the earliest event's action. Queue must be non-empty.

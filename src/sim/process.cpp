@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
@@ -163,6 +164,8 @@ bool Process::wait_until(Tick deadline) {
 
 void Process::sleep_until(Tick at) {
   if (kill_requested_) throw ProcessKilled{};
+  // Nothing can run before the wake tick: advance the clock in place.
+  if (engine_.try_advance(at)) return;
   const std::uint64_t epoch = ++wait_epoch_;
   timed_out_ = false;
   state_ = State::blocked;
@@ -172,15 +175,21 @@ void Process::sleep_until(Tick at) {
 }
 
 void Process::schedule_resume(Tick at, bool timeout, std::uint64_t epoch) {
-  engine_.schedule(at, [this, timeout, epoch] {
-    if (epoch != wait_epoch_) return;  // stale: the wait already ended
+  // The timeout flag rides in the epoch's low bit: with just `this` and one
+  // word captured, std::function stores the closure inline (no malloc).
+  auto resume = [this, tagged = (epoch << 1) | std::uint64_t{timeout}] {
+    if ((tagged >> 1) != wait_epoch_) return;  // stale: the wait already ended
     if (state_ != State::blocked && state_ != State::runnable &&
         state_ != State::created) {
       return;
     }
-    timed_out_ = timeout;
+    timed_out_ = (tagged & 1) != 0;
     run_slice();
-  });
+  };
+  static_assert(sizeof(resume) <= 2 * sizeof(void*) &&
+                    std::is_trivially_copyable_v<decltype(resume)>,
+                "resume closure must fit std::function's inline buffer");
+  engine_.schedule(at, std::move(resume));
 }
 
 }  // namespace pisces::sim

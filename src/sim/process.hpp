@@ -48,7 +48,8 @@ struct ProcessKilled {};
 ///
 /// The Engine enforces a strict one-runnable-at-a-time handshake: at any
 /// instant either the engine loop or exactly one process body is executing.
-/// Virtual time only advances in the engine loop, so process bodies see a
+/// Virtual time only advances in the engine loop (or in a process's own
+/// sleep when nothing else is due first), so process bodies see a
 /// consistent `engine().now()` and the whole simulation is deterministic
 /// regardless of the backing substrate (fibers or host threads).
 ///
@@ -87,6 +88,8 @@ class Process {
   bool wait_until(Tick deadline);
 
   /// Yield and resume at time `at` (>= now). Other processes run meanwhile.
+  /// When no event is due at or before `at` (and `at` is within the run
+  /// horizon), the clock advances in place without yielding.
   void sleep_until(Tick at);
 
  private:

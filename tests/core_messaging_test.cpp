@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "core/runtime.hpp"
 #include "trace/analyzer.hpp"
@@ -501,6 +503,37 @@ TEST(Control, TimeLimitStopsRun) {
   EXPECT_FALSE(finished);
   EXPECT_TRUE(f->timed_out());
   EXPECT_TRUE(f->console().contains("TIME LIMIT"));
+}
+
+// A compute burst is a chain of quantum-sized sleeps (1,000-tick slices from
+// tick 3,225 here). Sleeps inside the run horizon advance the clock in place;
+// one past it must stay a pending event, so run_for and the time limit stop on
+// the same slice boundary as when every slice was a dispatched event, and the
+// limit report fires exactly when work is left over.
+TEST(Control, RunForAndTimeLimitStopOnTheSameSliceBoundary) {
+  auto simulate = [](sim::Tick time_limit) {
+    config::Configuration cfg = config::Configuration::simple(1);
+    cfg.time_limit = time_limit;
+    Fixture f(cfg);
+    f->register_tasktype("long", [](TaskContext& ctx) { ctx.compute(60'000); });
+    f->boot();
+    f->user_initiate(1, "long");
+    std::vector<sim::Tick> stops{f->run_for(10'500), f->run_for(10'500)};
+    EXPECT_GT(f.eng.pending_events(), 0u);
+    stops.push_back(f->run());
+    std::vector<sim::Tick> reports;
+    for (const auto& line : f->console().lines()) {
+      if (line.text == "PISCES: EXECUTION TIME LIMIT REACHED") reports.push_back(line.at);
+    }
+    return std::tuple(stops, reports, f->timed_out());
+  };
+  using Ticks = std::vector<sim::Tick>;
+  // Limit one tick short of a slice boundary, then exactly on it.
+  EXPECT_EQ(simulate(50'224), std::tuple(Ticks{10'225, 20'225, 49'225}, Ticks{49'225}, true));
+  EXPECT_EQ(simulate(50'225), std::tuple(Ticks{10'225, 20'225, 50'225}, Ticks{50'225}, true));
+  // The burst ends at 63,225 and the task retires at 63,275.
+  EXPECT_EQ(simulate(63'274), std::tuple(Ticks{10'225, 20'225, 63'225}, Ticks{63'225}, true));
+  EXPECT_EQ(simulate(63'275), std::tuple(Ticks{10'225, 20'225, 63'275}, Ticks{}, false));
 }
 
 TEST(Trace, EventsRecordedWithFilters) {

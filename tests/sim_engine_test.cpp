@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace pisces::sim {
@@ -449,6 +451,115 @@ TEST_P(BackendTest, NestedSpawnAndChurnStaysDeterministic) {
   eng.schedule(0, [&] { eng.wake(parent); });
   eng.run();
   EXPECT_EQ(log, (std::vector<std::string>{"c0@0", "c1@10", "c2@20"}));
+}
+
+// ---------------------------------------------------------------------------
+// In-place advance: a sleep whose resume would be the very next event moves
+// the clock without scheduling, dispatching or switching.
+// ---------------------------------------------------------------------------
+
+TEST_P(BackendTest, SleepWithEmptyQueueAdvancesWithoutAnEvent) {
+  Engine eng(GetParam());
+  std::vector<std::uint64_t> fired;
+  Process& p = eng.spawn("t", [&](Process& self) {
+    fired.push_back(eng.events_fired());
+    self.sleep_until(100);
+    EXPECT_EQ(eng.now(), 100);
+    self.sleep_until(250);
+    EXPECT_EQ(eng.now(), 250);
+    fired.push_back(eng.events_fired());
+  });
+  eng.wake(p);
+  EXPECT_EQ(eng.run(), 250);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{1, 1}));
+  EXPECT_EQ(eng.events_fired(), 1u);  // only the wake was an event
+  EXPECT_EQ(p.state(), Process::State::finished);
+}
+
+TEST_P(BackendTest, EventQueuedAtTheWakeTickRunsBeforeTheSleeper) {
+  Engine eng(GetParam());
+  std::vector<std::string> log;
+  Process& p = eng.spawn("t", [&](Process& self) {
+    self.sleep_until(100);  // an event is due at 100: real resume
+    log.push_back("sleeper@" + std::to_string(eng.now()));
+    self.sleep_until(120);  // next event is at 150: in place
+    log.push_back("sleeper@" + std::to_string(eng.now()));
+  });
+  eng.schedule(100, [&] { log.push_back("event@" + std::to_string(eng.now())); });
+  eng.schedule(150, [&] { log.push_back("event@" + std::to_string(eng.now())); });
+  eng.wake(p);
+  eng.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"event@100", "sleeper@100",
+                                           "sleeper@120", "event@150"}));
+  // wake + event@100 + resume@100 + event@150; the sleep to 120 is elided.
+  EXPECT_EQ(eng.events_fired(), 4u);
+}
+
+TEST_P(BackendTest, RunUntilLeavesASleepPastTheLimitPending) {
+  Engine eng(GetParam());
+  bool done = false;
+  Process& p = eng.spawn("t", [&](Process& self) {
+    self.sleep_until(50);   // within the limit: in place
+    self.sleep_until(200);  // past it: a real, pending resume
+    done = true;
+  });
+  eng.wake(p);
+  EXPECT_EQ(eng.run_until(100), 50);
+  EXPECT_LE(eng.now(), 100);
+  EXPECT_EQ(eng.pending_events(), 1u);
+  EXPECT_EQ(p.state(), Process::State::blocked);
+  EXPECT_FALSE(done);
+  EXPECT_EQ(eng.run(), 200);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(eng.events_fired(), 2u);
+}
+
+TEST_P(BackendTest, BodyFailureInRunUntilLeavesNoStaleHorizon) {
+  Engine eng(GetParam());
+  Process& bad = eng.spawn("bad", [](Process&) { throw std::runtime_error("boom"); });
+  eng.wake(bad);
+  EXPECT_THROW(eng.run_until(10), std::runtime_error);
+  // With run_until's horizon of 10 left behind, this sleep would take a
+  // real resume event instead of advancing in place.
+  Process& sleeper = eng.spawn("sleeper", [](Process& self) { self.sleep_until(500); });
+  eng.wake(sleeper);
+  const std::uint64_t before = eng.events_fired();
+  EXPECT_EQ(eng.run(), 500);
+  EXPECT_EQ(eng.events_fired() - before, 1u);  // the wake only
+  EXPECT_EQ(sleeper.state(), Process::State::finished);
+}
+
+// A scenario mixing elided and real resumes — colliding sleepers, a lone
+// sleeper, a timed wait, and a run_until boundary — replays identically on
+// both backends.
+TEST(Backend, InPlaceAdvanceIdenticalAcrossBackends) {
+  auto simulate = [](Backend backend) {
+    Engine eng(backend);
+    std::string log;
+    for (int i = 0; i < 3; ++i) {
+      Process& p = eng.spawn("p" + std::to_string(i), [&eng, &log, i](Process& self) {
+        for (int k = 0; k < 5; ++k) {
+          log += static_cast<char>('a' + i) + std::to_string(eng.now()) + ' ';
+          self.sleep_until(eng.now() + 4 + 3 * i);
+        }
+        (void)self.wait_until(eng.now() + 20);
+        self.sleep_until(eng.now() + 1000 * (i + 1));
+        for (int k = 0; k < 3; ++k) self.sleep_until(eng.now() + 5);  // alone: in place
+        log += static_cast<char>('a' + i) + std::to_string(eng.now()) + ' ';
+      });
+      eng.schedule(i, [&eng, &p] { eng.wake(p); });
+    }
+    eng.run_until(30);
+    log += "| ";
+    const Tick final_tick = eng.run();
+    return std::tuple(final_tick, eng.events_fired(), log);
+  };
+  const auto fibers = simulate(Backend::fibers);
+  EXPECT_EQ(fibers, simulate(Backend::threads));
+  EXPECT_EQ(std::get<0>(fibers), 3087);
+  // 3 wakes + 3 timeouts + 27 sleeps would be 33 events; the 9 tail sleeps
+  // (nothing else due) advance in place.
+  EXPECT_EQ(std::get<1>(fibers), 24u);
 }
 
 // The two backends must produce bit-identical simulations: same final tick,
