@@ -1,10 +1,9 @@
-// E7 (extension) — the simulation substrate itself: fiber vs thread-backed
-// process scheduling. Every other bench and every tier-1 test runs on
-// sim::Engine, so the cost of one engine<->process handoff is the deepest
-// wall-clock lever in the reproduction. This bench measures it directly:
-// process lifecycle cost, context-switch throughput on both backends, a
-// 20-PE many-task end-to-end run, and the EventQueue same-tick fast path —
-// and proves the two backends produce tick-identical simulations.
+// E7 (extension) — the simulation substrate itself: fiber-backed process
+// scheduling. Every other bench and every tier-1 test runs on sim::Engine,
+// so the cost of one engine<->process handoff is the deepest wall-clock
+// lever in the reproduction. This bench measures it directly: process
+// lifecycle cost, context-switch throughput, a 20-PE many-task end-to-end
+// run, and the EventQueue same-tick fast path.
 //
 // Unlike the other benches, most numbers here are HOST wall-clock times and
 // vary by machine; the tick/event columns are deterministic.
@@ -26,10 +25,6 @@ using namespace pisces::bench;
 
 namespace {
 
-const char* backend_name(sim::Backend b) {
-  return b == sim::Backend::fibers ? "fibers" : "threads";
-}
-
 double elapsed_ns(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::nano>(
              std::chrono::steady_clock::now() - start)
@@ -37,11 +32,11 @@ double elapsed_ns(std::chrono::steady_clock::time_point start) {
 }
 
 /// Full process lifecycle: spawn, run a trivial body once, tear down the
-/// engine (which reaps stacks/threads). Returns ns per process.
-double lifecycle_ns_per_process(sim::Backend backend, int n) {
+/// engine (which reaps stacks). Returns ns per process.
+double lifecycle_ns_per_process(int n) {
   const auto start = std::chrono::steady_clock::now();
   {
-    sim::Engine eng(backend);
+    sim::Engine eng;
     for (int i = 0; i < n; ++i) {
       sim::Process& p = eng.spawn("p", [](sim::Process&) {});
       eng.schedule(0, [&eng, &p] { eng.wake(p); });
@@ -59,8 +54,8 @@ struct SwitchResult {
 
 /// Context-switch throughput: `procs` processes each yield `iters` times via
 /// sleep_until(now+1); every slice is one switch into the body and one back.
-SwitchResult switch_throughput(sim::Backend backend, int procs, int iters) {
-  sim::Engine eng(backend);
+SwitchResult switch_throughput(int procs, int iters) {
+  sim::Engine eng;
   for (int i = 0; i < procs; ++i) {
     sim::Process& p = eng.spawn("s", [iters, &eng](sim::Process& self) {
       for (int k = 0; k < iters; ++k) self.sleep_until(eng.now() + 1);
@@ -83,9 +78,8 @@ struct EndToEnd {
 /// 20-PE end-to-end: the Section 9 machine (clusters 1-4 on PEs 3-6, force
 /// PEs 7-20) churning through waves of short-lived worker tasks — the
 /// dynamic-task pattern that stresses spawn, handoff, and reaping at once.
-EndToEnd end_to_end_20pe(sim::Backend backend, int waves = 8,
-                         int workers_per_wave = 12) {
-  Sim sim(config::Configuration::section9_example(), backend);
+EndToEnd end_to_end_20pe(int waves = 8, int workers_per_wave = 12) {
+  Sim sim(config::Configuration::section9_example());
   sim.rt().register_tasktype("worker", [](rt::TaskContext& ctx) {
     ctx.compute(10'000 * (1 + ctx.self().slot % 5));
     ctx.send(rt::Dest::Parent(), "done");
@@ -196,81 +190,47 @@ struct JsonReport {
   }
 };
 
+// The JSON rows keep their "backend": "fibers" label so the committed
+// baseline stays comparable with earlier runs.
 void spawn_table(JsonReport& report) {
   banner("E7a: process lifecycle cost (spawn + one slice + teardown)");
-  Table t({"backend", "processes", "ns/process"});
+  Table t({"processes", "ns/process"});
   report.begin_section("process_lifecycle");
-  bool first = true;
-  for (auto [backend, n] : {std::pair{sim::Backend::fibers, 8192},
-                            std::pair{sim::Backend::threads, 1024}}) {
-    const double ns = lifecycle_ns_per_process(backend, n);
-    t.row(backend_name(backend), n, static_cast<long>(ns));
-    report.body << (first ? "" : ", ") << "{\"backend\": \""
-                << backend_name(backend) << "\", \"processes\": " << n
-                << ", \"ns_per_process\": " << static_cast<long>(ns) << "}";
-    first = false;
-  }
+  constexpr int n = 8192;
+  const double ns = lifecycle_ns_per_process(n);
+  t.row(n, static_cast<long>(ns));
+  report.body << "{\"backend\": \"fibers\", \"processes\": " << n
+              << ", \"ns_per_process\": " << static_cast<long>(ns) << "}";
   report.end_section();
-  note("Fibers allocate a guard-paged stack lazily at first run; threads pay\n"
-       "pthread creation + join per process.");
+  note("Each fiber allocates a guard-paged stack lazily at first run.");
 }
 
 void switch_table(JsonReport& report) {
   banner("E7b: engine<->process switch throughput (32 procs x 1000 yields)");
-  Table t({"backend", "ns/switch", "switches/sec", "final tick"});
+  Table t({"ns/switch", "switches/sec", "final tick"});
   report.begin_section("switch_throughput");
-  const SwitchResult fib = switch_throughput(sim::Backend::fibers, 32, 1000);
-  const SwitchResult thr = switch_throughput(sim::Backend::threads, 32, 1000);
-  for (auto [backend, r] : {std::pair{sim::Backend::fibers, fib},
-                            std::pair{sim::Backend::threads, thr}}) {
-    t.row(backend_name(backend), static_cast<long>(r.ns_per_switch),
-          static_cast<long>(r.switches_per_sec), r.final_tick);
-    report.body << (backend == sim::Backend::fibers ? "" : ", ")
-                << "{\"backend\": \"" << backend_name(backend)
-                << "\", \"ns_per_switch\": "
-                << static_cast<long>(r.ns_per_switch)
-                << ", \"switches_per_sec\": "
-                << static_cast<long>(r.switches_per_sec)
-                << ", \"final_tick\": " << r.final_tick << "}";
-  }
-  const double speedup = thr.ns_per_switch / fib.ns_per_switch;
-  report.body << ", {\"fiber_speedup_x\": "
-              << static_cast<long>(speedup * 10) / 10.0 << "}";
+  const SwitchResult r = switch_throughput(32, 1000);
+  t.row(static_cast<long>(r.ns_per_switch),
+        static_cast<long>(r.switches_per_sec), r.final_tick);
+  report.body << "{\"backend\": \"fibers\", \"ns_per_switch\": "
+              << static_cast<long>(r.ns_per_switch)
+              << ", \"switches_per_sec\": "
+              << static_cast<long>(r.switches_per_sec)
+              << ", \"final_tick\": " << r.final_tick << "}";
   report.end_section();
-  std::ostringstream msg;
-  msg << "fiber speedup: " << static_cast<long>(speedup * 10) / 10.0
-      << "x (acceptance floor: 10x)";
-  note(msg.str());
 }
 
 void end_to_end_table(JsonReport& report) {
   banner("E7c: 20-PE end-to-end task churn (Section 9 machine, 96 tasks)");
-  Table t({"backend", "wall ms", "final tick", "events"});
+  Table t({"wall ms", "final tick", "events"});
   report.begin_section("end_to_end_20pe");
-  EndToEnd results[2];
-  bool first = true;
-  for (auto backend : {sim::Backend::fibers, sim::Backend::threads}) {
-    EndToEnd& r = results[backend == sim::Backend::fibers ? 0 : 1];
-    r = end_to_end_20pe(backend);
-    t.row(backend_name(backend), static_cast<long>(r.wall_ms), r.final_tick,
-          r.events);
-    report.body << (first ? "" : ", ") << "{\"backend\": \""
-                << backend_name(backend)
-                << "\", \"wall_ms\": " << static_cast<long>(r.wall_ms)
-                << ", \"final_tick\": " << r.final_tick
-                << ", \"events_fired\": " << r.events << "}";
-    first = false;
-  }
+  const EndToEnd r = end_to_end_20pe();
+  t.row(static_cast<long>(r.wall_ms), r.final_tick, r.events);
+  report.body << "{\"backend\": \"fibers\", \"wall_ms\": "
+              << static_cast<long>(r.wall_ms)
+              << ", \"final_tick\": " << r.final_tick
+              << ", \"events_fired\": " << r.events << "}";
   report.end_section();
-  const bool identical = results[0].final_tick == results[1].final_tick &&
-                         results[0].events == results[1].events;
-  report.begin_section("cross_backend_tick_identity");
-  report.body << "{\"scenario\": \"end_to_end_20pe\", \"identical\": "
-              << (identical ? "true" : "false") << "}";
-  report.end_section();
-  note(identical
-           ? "tick trajectories identical across backends (determinism holds)"
-           : "WARNING: backends disagree on tick trajectory!");
 }
 
 void event_queue_table(JsonReport& report) {
@@ -412,9 +372,8 @@ struct ScalePoint {
   bool ok = false;
 };
 
-ScalePoint interconnect_scale_run(int pe_count, flex::Topology kind,
-                                  sim::Backend backend) {
-  sim::Engine eng(backend);
+ScalePoint interconnect_scale_run(int pe_count, flex::Topology kind) {
+  sim::Engine eng;
   flex::MachineSpec mspec;
   mspec.pe_count = pe_count;
   if (kind != flex::Topology::shared) {
@@ -495,8 +454,7 @@ void interconnect_scaling_table(JsonReport& report) {
   sim::Tick hier_tick_128 = 0;
   for (int pes : {32, 64, 128, 256, 512, 1024}) {
     for (auto kind : {flex::Topology::shared, flex::Topology::hier}) {
-      const ScalePoint r =
-          interconnect_scale_run(pes, kind, sim::default_backend());
+      const ScalePoint r = interconnect_scale_run(pes, kind);
       const char* name = flex::topology_name(kind);
       if (pes == 128 && kind == flex::Topology::shared) shared_tick_128 = r.done_tick;
       if (pes == 128 && kind == flex::Topology::hier) hier_tick_128 = r.done_tick;
@@ -531,24 +489,14 @@ void interconnect_scaling_table(JsonReport& report) {
 
 void BM_SwitchFibers(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        switch_throughput(sim::Backend::fibers, 8, 500).final_tick);
+    benchmark::DoNotOptimize(switch_throughput(8, 500).final_tick);
   }
 }
 BENCHMARK(BM_SwitchFibers)->Unit(benchmark::kMillisecond);
 
-void BM_SwitchThreads(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        switch_throughput(sim::Backend::threads, 8, 500).final_tick);
-  }
-}
-BENCHMARK(BM_SwitchThreads)->Unit(benchmark::kMillisecond);
-
 void BM_SpawnTeardownFibers(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        lifecycle_ns_per_process(sim::Backend::fibers, 512));
+    benchmark::DoNotOptimize(lifecycle_ns_per_process(512));
   }
 }
 BENCHMARK(BM_SpawnTeardownFibers)->Unit(benchmark::kMillisecond);
@@ -565,7 +513,7 @@ BENCHMARK(BM_EventQueueSameTick)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   std::cout << "PISCES 2 reproduction — E7: simulation-engine substrate "
-               "(fiber vs thread scheduling)\n";
+               "(fiber scheduling)\n";
   std::string json_path = "BENCH_engine.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {

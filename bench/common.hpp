@@ -23,9 +23,7 @@ struct Sim {
   mmos::System system;
   std::unique_ptr<rt::Runtime> runtime;
 
-  explicit Sim(config::Configuration cfg,
-               sim::Backend backend = sim::default_backend())
-      : engine(backend), machine(engine), system(machine) {
+  explicit Sim(config::Configuration cfg) : machine(engine), system(machine) {
     cfg.time_limit = 50'000'000'000;
     runtime = std::make_unique<rt::Runtime>(system, std::move(cfg));
   }

@@ -1,55 +1,10 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-
-#if defined(__SANITIZE_THREAD__)
-#define PISCES_SIM_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PISCES_SIM_TSAN 1
-#endif
-#endif
-#if !defined(PISCES_SIM_TSAN)
-#define PISCES_SIM_TSAN 0
-#endif
 
 namespace pisces::sim {
 
-Backend default_backend() {
-#if PISCES_SIM_TSAN
-  return Backend::threads;
-#else
-  if (const char* env = std::getenv("PISCES_SIM_THREADS")) {
-    return (env[0] != '\0' && env[0] != '0') ? Backend::threads
-                                             : Backend::fibers;
-  }
-#if defined(PISCES_SIM_DEFAULT_THREADS)
-  return Backend::threads;
-#else
-  return Backend::fibers;
-#endif
-#endif
-}
-
-namespace {
-
-Backend coerce_backend(Backend requested) {
-#if PISCES_SIM_TSAN
-  // TSan cannot see fiber context switches and would report false races on
-  // fiber stacks; force the thread backend regardless of the request.
-  (void)requested;
-  return Backend::threads;
-#else
-  return requested;
-#endif
-}
-
-}  // namespace
-
-Engine::Engine(Backend backend) : backend_(coerce_backend(backend)) {
-  if (backend_ == Backend::fibers) fiber::capture_host(host_ctx_);
-}
+Engine::Engine(Backend /*backend*/) { fiber::capture_host(host_ctx_); }
 
 Engine::~Engine() { shutdown_processes(); }
 

@@ -13,24 +13,11 @@
 
 namespace pisces::sim {
 
-/// Execution substrate for process bodies. `fibers` runs every body as a
-/// user-level fiber on the engine's host thread (direct context swaps, no
-/// syscalls); `threads` gives each body a dedicated OS thread with a
-/// mutex/condvar handshake. Both honour the same determinism contract and
-/// produce tick-identical simulations.
-enum class Backend {
-  fibers,
-  threads,
-};
-
-/// The backend a default-constructed Engine uses:
-///  - ThreadSanitizer builds always get `threads` (TSan cannot track fiber
-///    context switches and reports false races on fiber stacks).
-///  - Otherwise the PISCES_SIM_THREADS environment variable decides when
-///    set ("1"/non-empty → threads, "0"/"" → fibers).
-///  - Otherwise the compile-time default: fibers, or threads when built
-///    with -DPISCES_SIM_DEFAULT_THREADS (CMake option PISCES_SIM_THREADS).
-[[nodiscard]] Backend default_backend();
+/// Every process body runs as a user-level fiber on the engine's host
+/// thread; there is no other substrate. The one-value enum, the Engine
+/// constructor argument and backend() stay only because the host-time
+/// benchmark (perfbench/) names them; they go when that benchmark changes.
+enum class Backend { fibers };
 
 /// Discrete-event simulation engine: a virtual clock, a time-ordered event
 /// queue, and a set of cooperative processes. This is the substrate on which
@@ -40,17 +27,18 @@ enum class Backend {
 /// one process body runs at a time; virtual time advances only between
 /// events, or inside a sleep whose resume would be the next event (see
 /// try_advance). Given the same inputs, a simulation always produces the
-/// same trace — on either backend.
+/// same trace.
 ///
-/// An Engine and all its processes run on the thread that constructed it.
+/// An Engine and all its processes run on one host thread: process bodies
+/// are fibers switched in and out by the thread that calls run().
 class Engine {
  public:
-  explicit Engine(Backend backend = default_backend());
+  explicit Engine(Backend backend = Backend::fibers);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  [[nodiscard]] Backend backend() const { return backend_; }
+  [[nodiscard]] Backend backend() const { return Backend::fibers; }
   [[nodiscard]] Tick now() const { return now_; }
 
   /// Schedule `action` to run at absolute tick `at` (>= now).
@@ -89,14 +77,14 @@ class Engine {
   [[nodiscard]] std::vector<const Process*> blocked_processes() const;
 
   /// Force-unwind every live process (their blocking calls throw
-  /// ProcessKilled) and release their stacks/threads. Called automatically
+  /// ProcessKilled) and release their stacks. Called automatically
   /// by the destructor; call it earlier when higher-level objects referenced
   /// by process bodies are destroyed before the Engine. Idempotent. After
   /// shutdown, schedule() becomes a no-op and exit callbacks do not run.
   void shutdown_processes();
 
   /// Move finished processes out of the live set so scans stay proportional
-  /// to live processes. Their heavy state (stack/thread, body storage) was
+  /// to live processes. Their heavy state (stack, body storage) was
   /// already released when the body finished; what remains is a small
   /// tombstone kept alive so references returned by spawn() stay valid.
   /// Runs automatically every few hundred finishes during run(); public so
@@ -126,17 +114,14 @@ class Engine {
   /// Called from a process body that threw (other than ProcessKilled): the
   /// exception is stashed and rethrown from the run loop.
   void note_failure(std::exception_ptr e) { failure_ = std::move(e); }
-  /// Bookkeeping when a body finishes (any backend, any path).
+  /// Bookkeeping when a body finishes (any path).
   void on_process_finished();
-  /// Instantiate the configured backend for a process about to start.
-  std::unique_ptr<detail::ProcessBackend> make_backend(Process& p);
 
   /// Batch size for automatic reaping: big enough that the move is
   /// amortized, small enough that churny sessions stay flat.
   static constexpr std::size_t kReapBatch = 256;
 
-  Backend backend_;
-  fiber::Context host_ctx_;  ///< the engine loop's own context (fiber backend)
+  fiber::Context host_ctx_;  ///< the engine loop's own context
   Tick now_ = 0;
   Tick horizon_ = kForever;  ///< run_until's limit while it runs
   bool shutting_down_ = false;

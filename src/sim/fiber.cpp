@@ -1,6 +1,5 @@
 #include "sim/fiber.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -147,9 +146,6 @@ pisces_fiber_thunk_asm:
 namespace pisces::sim::fiber {
 namespace {
 
-constexpr std::size_t kMinStackBytes = 64 * 1024;
-constexpr std::size_t kDefaultStackBytes = 256 * 1024;
-
 std::size_t round_up(std::size_t n, std::size_t align) {
   return (n + align - 1) / align * align;
 }
@@ -204,19 +200,6 @@ void* Stack::top() const {
 }
 
 std::size_t Stack::usable_bytes() const { return size_ - guard_; }
-
-std::size_t default_stack_bytes() {
-  static const std::size_t bytes = [] {
-    if (const char* env = std::getenv("PISCES_SIM_STACK_KB")) {
-      const long kb = std::atol(env);
-      if (kb > 0) {
-        return std::max(kMinStackBytes, static_cast<std::size_t>(kb) * 1024);
-      }
-    }
-    return kDefaultStackBytes;
-  }();
-  return bytes;
-}
 
 void make(Context& ctx, const Stack& stack, Entry entry, void* arg) {
   ctx.entry = entry;

@@ -13,9 +13,8 @@
 //
 // Under AddressSanitizer the assembly path issues the
 // __sanitizer_*_switch_fiber annotations around every switch so ASan tracks
-// the active stack correctly. ThreadSanitizer cannot observe either
-// implementation; the engine falls back to the thread backend there (see
-// default_backend() in engine.hpp).
+// the active stack correctly. Every fiber runs on the engine's host thread,
+// so there is no cross-thread handoff for a race detector to check.
 
 #include <cstddef>
 
@@ -87,8 +86,9 @@ class Stack {
   std::size_t guard_ = 0;  ///< guard page bytes (0 when mmap is unavailable)
 };
 
-/// Default per-fiber stack reservation (env override: PISCES_SIM_STACK_KB).
-std::size_t default_stack_bytes();
+/// Per-fiber stack reservation. Pages are committed on first touch, so only
+/// the depth a body actually reaches costs memory.
+inline constexpr std::size_t kStackBytes = 256 * 1024;
 
 /// Prepare `ctx` so the first switch_to() into it calls `entry(arg)` at the
 /// top of `stack`. The stack must outlive the fiber.

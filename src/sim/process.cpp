@@ -1,9 +1,6 @@
 #include "sim/process.hpp"
 
-#include <condition_variable>
 #include <cstdlib>
-#include <mutex>
-#include <thread>
 #include <type_traits>
 
 #include "sim/engine.hpp"
@@ -11,118 +8,35 @@
 
 namespace pisces::sim {
 
-void detail::ProcessBackend::run_body(Process& p) { p.body_main(); }
-
-namespace detail {
-namespace {
-
-/// User-level fiber backend: the body runs on its own guard-paged stack but
-/// on the engine's host thread; resume/suspend are single context swaps.
-class FiberBackend final : public ProcessBackend {
- public:
-  FiberBackend(Process& proc, fiber::Context& host)
-      : proc_(proc), host_(host), stack_(fiber::default_stack_bytes()) {
-    fiber::make(ctx_, stack_, &FiberBackend::entry, this);
-  }
-
-  void resume() override { fiber::switch_to(host_, ctx_); }
-  void suspend() override { fiber::switch_to(ctx_, host_); }
-
- private:
-  static void entry(void* self_v) {
-    auto* self = static_cast<FiberBackend*>(self_v);
-    run_body(self->proc_);
-    // The body has fully unwound; this fiber is never resumed again, so the
-    // dying switch lets ASan retire its fake stack and run_slice free the
-    // real one.
-    fiber::switch_to(self->ctx_, self->host_, /*from_dying=*/true);
-    std::abort();  // unreachable: nothing switches back into a dead fiber
-  }
-
-  Process& proc_;
-  fiber::Context& host_;
-  fiber::Stack stack_;
-  fiber::Context ctx_;  ///< must not move after make(); backend is heap-pinned
+/// Heap-pinned: `ctx` must not move after fiber::make().
+struct detail::Fiber {
+  fiber::Stack stack{fiber::kStackBytes};
+  fiber::Context ctx;
 };
-
-/// OS-thread backend: the original substrate. One dedicated thread per
-/// process with a strict turn handshake — at any instant either the engine
-/// or the body owns the turn, so semantics match the fiber backend exactly
-/// (just slower: every handoff is two futex round-trips).
-class ThreadBackend final : public ProcessBackend {
- public:
-  explicit ThreadBackend(Process& proc) : proc_(proc) {
-    thread_ = std::thread([this] { thread_main(); });
-  }
-
-  ~ThreadBackend() override {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  void resume() override {
-    std::unique_lock lock(mutex_);
-    turn_ = Turn::process;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return turn_ == Turn::engine; });
-  }
-
-  void suspend() override {
-    std::unique_lock lock(mutex_);
-    turn_ = Turn::engine;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return turn_ == Turn::process; });
-  }
-
- private:
-  void thread_main() {
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return turn_ == Turn::process; });
-    }
-    run_body(proc_);
-    {
-      std::lock_guard lock(mutex_);
-      turn_ = Turn::engine;
-    }
-    cv_.notify_all();
-  }
-
-  Process& proc_;
-  enum class Turn { engine, process };
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::engine;
-  std::thread thread_;
-};
-
-}  // namespace
-}  // namespace detail
-
-// Defined here (not engine.cpp) so the concrete backend types stay local to
-// this translation unit.
-std::unique_ptr<detail::ProcessBackend> Engine::make_backend(Process& p) {
-  if (backend_ == Backend::threads) {
-    return std::make_unique<detail::ThreadBackend>(p);
-  }
-  return std::make_unique<detail::FiberBackend>(p, host_ctx_);
-}
 
 Process::Process(Engine& engine, std::uint64_t id, std::string name, Body body)
     : engine_(engine), id_(id), name_(std::move(name)), body_(std::move(body)) {}
 
 Process::~Process() = default;
 
-void Process::body_main() {
-  if (!kill_requested_) {
+void Process::fiber_main(void* self_v) {
+  auto* self = static_cast<Process*>(self_v);
+  if (!self->kill_requested_) {
     try {
-      body_(*this);
+      self->body_(*self);
     } catch (const ProcessKilled&) {
       // Normal kill unwind.
     } catch (...) {
-      engine_.note_failure(std::current_exception());
+      self->engine_.note_failure(std::current_exception());
     }
   }
-  finish();
+  self->finish();
+  // The body has fully unwound; this fiber is never resumed again, so the
+  // dying switch lets ASan retire its fake stack and run_slice free the
+  // real one.
+  fiber::switch_to(self->fiber_->ctx, self->engine_.host_ctx_,
+                   /*from_dying=*/true);
+  std::abort();  // unreachable: nothing switches back into a dead fiber
 }
 
 void Process::finish() {
@@ -133,23 +47,26 @@ void Process::finish() {
 
 void Process::run_slice() {
   if (state_ == State::finished) return;
-  if (backend_ == nullptr) {
+  if (fiber_ == nullptr) {
     if (kill_requested_) {
-      // Killed before the body ever started: no stack or thread is needed,
-      // the process goes straight to finished.
+      // Killed before the body ever started: no stack is needed, the
+      // process goes straight to finished.
       finish();
       return;
     }
-    backend_ = engine_.make_backend(*this);
+    fiber_ = std::make_unique<detail::Fiber>();
+    fiber::make(fiber_->ctx, fiber_->stack, &Process::fiber_main, this);
   }
   state_ = State::running;
-  backend_->resume();
-  // Once the body has finished its stack/thread is dead weight; drop it now
-  // rather than at reap time so churny workloads stay flat.
-  if (state_ == State::finished) backend_.reset();
+  fiber::switch_to(engine_.host_ctx_, fiber_->ctx);
+  // Once the body has finished its stack is dead weight; drop it now rather
+  // than at reap time so churny workloads stay flat.
+  if (state_ == State::finished) fiber_.reset();
 }
 
-void Process::switch_to_engine() { backend_->suspend(); }
+void Process::switch_to_engine() {
+  fiber::switch_to(fiber_->ctx, engine_.host_ctx_);
+}
 
 bool Process::wait_until(Tick deadline) {
   if (kill_requested_) throw ProcessKilled{};

@@ -10,33 +10,10 @@
 namespace pisces::sim {
 
 class Engine;
-class Process;
 
 namespace detail {
-
-/// Execution substrate behind one Process: the thing that owns a suspendable
-/// stack for the body and can transfer control between it and the engine
-/// loop. Two implementations exist (see engine.hpp's Backend):
-///  - FiberBackend: a user-level fiber; resume/suspend are direct context
-///    swaps on the engine's host thread (~tens of ns).
-///  - ThreadBackend: a dedicated OS thread with a mutex/condvar turn
-///    handshake (two futex round-trips per handoff); kept for differential
-///    testing and for ThreadSanitizer, which cannot see fiber switches.
-class ProcessBackend {
- public:
-  virtual ~ProcessBackend() = default;
-  /// Engine side: transfer control into the body (starting it on first
-  /// call); returns when the body suspends or finishes.
-  virtual void resume() = 0;
-  /// Body side: transfer control back to the engine loop.
-  virtual void suspend() = 0;
-
- protected:
-  /// Runs the process's body wrapper on the backend's stack (backends are
-  /// not friends of Process; this is their one entry point into it).
-  static void run_body(Process& p);
-};
-
+/// The fiber a started body runs on: its stack and saved context.
+struct Fiber;
 }  // namespace detail
 
 /// Thrown out of a blocking call when the process has been killed; the body
@@ -50,11 +27,11 @@ struct ProcessKilled {};
 /// instant either the engine loop or exactly one process body is executing.
 /// Virtual time only advances in the engine loop (or in a process's own
 /// sleep when nothing else is due first), so process bodies see a
-/// consistent `engine().now()` and the whole simulation is deterministic
-/// regardless of the backing substrate (fibers or host threads).
+/// consistent `engine().now()` and the whole simulation is deterministic.
+/// Every body runs as a user-level fiber on the thread that calls run().
 ///
-/// Stacks are lazy: no fiber stack (or thread) exists until the first time
-/// the body actually runs, and it is released as soon as the body finishes.
+/// Stacks are lazy: no fiber stack exists until the first time the body
+/// actually runs, and it is released as soon as the body finishes.
 class Process {
  public:
   using Body = std::function<void(Process&)>;
@@ -94,16 +71,15 @@ class Process {
 
  private:
   friend class Engine;
-  friend class detail::ProcessBackend;
 
   Process(Engine& engine, std::uint64_t id, std::string name, Body body);
 
-  /// Runs the body with the kill/failure wrapper; executed on the backend's
-  /// stack. Marks the process finished when the body unwinds.
-  void body_main();
+  /// Fiber entry point: runs the body with the kill/failure wrapper, marks
+  /// the process finished, and switches back to the engine for good.
+  static void fiber_main(void* self);
   /// Engine side: hand control to the body; returns when the process
-  /// blocks, yields, or finishes. Creates the backend on first use and
-  /// releases it (stack freed / thread joined) once the body has finished.
+  /// blocks, yields, or finishes. Creates the fiber on first use and frees
+  /// its stack once the body has finished.
   void run_slice();
   /// Process side: hand control back to the engine loop.
   void switch_to_engine();
@@ -119,7 +95,7 @@ class Process {
   Body body_;
   State state_ = State::created;
 
-  std::unique_ptr<detail::ProcessBackend> backend_;  ///< null until started
+  std::unique_ptr<detail::Fiber> fiber_;  ///< null until started
 
   std::uint64_t wait_epoch_ = 0;  ///< invalidates stale resume events
   bool timed_out_ = false;        ///< result of the last wait_until

@@ -545,9 +545,9 @@ TEST(Chaos, AllreduceDoesNotWedgeWhenRelayPeHaltsMidCollective) {
   // A 7-member force with fan-out 2 builds a depth-2 combining tree; the
   // member on PE 5 is an interior relay. It arrives early (its partial is
   // folded) and its PE halts while a straggler keeps the gather open. The
-  // collective must unwind — degraded, never wedged — on both backends.
-  auto run = [](sim::Backend backend) {
-    sim::Engine eng(backend);
+  // collective must unwind — degraded, never wedged — at a pinned tick.
+  auto run = [] {
+    sim::Engine eng;
     flex::Machine machine{eng};
     mmos::System sys{machine};
     config::Configuration cfg = config::Configuration::simple(1);
@@ -577,9 +577,7 @@ TEST(Chaos, AllreduceDoesNotWedgeWhenRelayPeHaltsMidCollective) {
     EXPECT_EQ(rt.message_heap().in_use(), 0u);
     return end;
   };
-  const sim::Tick fibers = run(sim::Backend::fibers);
-  const sim::Tick threads = run(sim::Backend::threads);
-  EXPECT_EQ(fibers, threads);
+  EXPECT_EQ(run(), 2'000'875);
 }
 
 // ---- liveness under supervision policy -------------------------------
@@ -622,8 +620,8 @@ struct SupRunResult {
 
 /// Supervised master/worker workload: every worker lineage must either
 /// deliver its result or escalate (_SUPFAIL) within bounded ticks.
-SupRunResult run_supervised(const flex::FaultPlan& plan, sim::Backend backend) {
-  sim::Engine eng(backend);
+SupRunResult run_supervised(const flex::FaultPlan& plan) {
+  sim::Engine eng;
   flex::Machine machine{eng};
   mmos::System sys{machine};
   config::Configuration cfg = config::Configuration::simple(3);
@@ -752,7 +750,7 @@ TEST_P(SupervisedSweep, LivenessUnderPolicyHolds) {
     SCOPED_TRACE("seed=" + std::to_string(plan.seed) +
                  " halts=" + std::to_string(plan.pe_halts.size()) +
                  " slowdowns=" + std::to_string(plan.pe_slowdowns.size()));
-    const SupRunResult r = run_supervised(plan, sim::default_backend());
+    const SupRunResult r = run_supervised(plan);
     // Liveness under policy: the run quiesces within its bound, and every
     // worker lineage resolved — a result arrived or the failure escalated.
     EXPECT_FALSE(r.timed_out);
@@ -772,8 +770,7 @@ TEST_P(SupervisedSweep, LivenessUnderPolicyHolds) {
 
 TEST_P(SupervisedSweep, StormKeepsLivenessInvariantsAndReplays) {
   const flex::FaultPlan plan = sup_storm_mix(GetParam());
-  const SupRunResult a =
-      run_supervised(plan, sim::default_backend());
+  const SupRunResult a = run_supervised(plan);
   // Lossy channels can eat results, so only the structural invariants are
   // asserted — plus bit-identical replay of the whole trajectory.
   EXPECT_FALSE(a.timed_out);
@@ -783,16 +780,13 @@ TEST_P(SupervisedSweep, StormKeepsLivenessInvariantsAndReplays) {
   EXPECT_EQ(a.tasks_started, a.tasks_finished);
   EXPECT_EQ(a.heap_in_use, 0u);
   EXPECT_TRUE(a.live_counts_ok);
-  const SupRunResult b =
-      run_supervised(plan, sim::default_backend());
+  const SupRunResult b = run_supervised(plan);
   EXPECT_EQ(a.key(), b.key());
 }
 
-TEST_P(SupervisedSweep, SupervisedReplayIsBackendIdentical) {
+TEST_P(SupervisedSweep, SupervisedReplayIsIdentical) {
   const flex::FaultPlan plan = sup_halt_recover_mix(GetParam());
-  const SupRunResult fibers = run_supervised(plan, sim::Backend::fibers);
-  const SupRunResult threads = run_supervised(plan, sim::Backend::threads);
-  EXPECT_EQ(fibers.key(), threads.key());
+  EXPECT_EQ(run_supervised(plan).key(), run_supervised(plan).key());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SupervisedSweep,
@@ -806,9 +800,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SupervisedSweep,
 /// boot-time configure_topology path). Partition windows in the plan bind
 /// to backbone links: cross-cluster traffic drops while it is severed,
 /// intra-cluster work never notices.
-SupRunResult run_topo_supervised(const flex::FaultPlan& plan,
-                                 sim::Backend backend) {
-  sim::Engine eng(backend);
+SupRunResult run_topo_supervised(const flex::FaultPlan& plan) {
+  sim::Engine eng;
   flex::MachineSpec mspec;
   mspec.pe_count = 32;
   flex::Machine machine{eng, mspec};
@@ -910,7 +903,7 @@ class TopologySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TopologySweep, HierChaosKeepsLivenessAndReplays) {
   const flex::FaultPlan plan = topo_storm_mix(GetParam());
-  const SupRunResult a = run_topo_supervised(plan, sim::default_backend());
+  const SupRunResult a = run_topo_supervised(plan);
   // Liveness under topology + partitions + supervision: the run quiesces,
   // escalation accounting balances, nothing leaks, live counters hold.
   EXPECT_FALSE(a.timed_out);
@@ -925,15 +918,8 @@ TEST_P(TopologySweep, HierChaosKeepsLivenessAndReplays) {
   // are spread by Where::Any over all four).
   EXPECT_GT(a.faults.bus_partition_drops, 0u);
   // And the whole trajectory replays bit-identically.
-  const SupRunResult b = run_topo_supervised(plan, sim::default_backend());
+  const SupRunResult b = run_topo_supervised(plan);
   EXPECT_EQ(a.key(), b.key());
-}
-
-TEST_P(TopologySweep, HierChaosIsBackendIdentical) {
-  const flex::FaultPlan plan = topo_storm_mix(GetParam());
-  const SupRunResult fibers = run_topo_supervised(plan, sim::Backend::fibers);
-  const SupRunResult threads = run_topo_supervised(plan, sim::Backend::threads);
-  EXPECT_EQ(fibers.key(), threads.key());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopologySweep,
@@ -942,7 +928,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TopologySweep,
 // ---- reliable transport under chaos ----------------------------------
 
 /// Everything observable about one reliable-transport chaos run. The key
-/// includes every transport counter, so replay/backend-identity checks pin
+/// includes every transport counter, so replay-identity checks pin
 /// the whole retransmission trajectory, not just the application outcome.
 struct ReliableRunResult {
   sim::Tick end_tick = 0;
@@ -980,9 +966,8 @@ struct ReliableRunResult {
 /// shape as run_chaos, but no PE halts in the plans it is driven with, so
 /// with retransmission every application message must land exactly once.
 ReliableRunResult run_reliable(const flex::FaultPlan& plan,
-                               const config::ReliableConfig& rel,
-                               sim::Backend backend) {
-  sim::Engine eng(backend);
+                               const config::ReliableConfig& rel) {
+  sim::Engine eng;
   flex::Machine machine{eng};
   mmos::System sys{machine};
   config::Configuration cfg = config::Configuration::simple(3);
@@ -1091,8 +1076,7 @@ TEST_P(ReliableSweep, ExactlyOnceUnderLossAndDuplication) {
     SCOPED_TRACE("seed=" + std::to_string(plan.seed) +
                  " loss=" + std::to_string(plan.bus_loss) +
                  " dup=" + std::to_string(plan.bus_duplication));
-    const ReliableRunResult r =
-        run_reliable(plan, reliable_on(), sim::default_backend());
+    const ReliableRunResult r = run_reliable(plan, reliable_on());
     // Exactly-once: every application message reached its consumer despite
     // the lossy, duplicating bus — full results, no dead letters, nothing
     // hung, no send gave up.
@@ -1115,16 +1099,10 @@ TEST_P(ReliableSweep, ExactlyOnceUnderLossAndDuplication) {
   }
 }
 
-TEST_P(ReliableSweep, ReplayAndBackendIdentity) {
+TEST_P(ReliableSweep, ReplayIdentity) {
   const flex::FaultPlan plan = reliable_mix(GetParam());
-  const ReliableRunResult fibers =
-      run_reliable(plan, reliable_on(), sim::Backend::fibers);
-  const ReliableRunResult threads =
-      run_reliable(plan, reliable_on(), sim::Backend::threads);
-  EXPECT_EQ(fibers.key(), threads.key());
-  const ReliableRunResult again =
-      run_reliable(plan, reliable_on(), sim::Backend::fibers);
-  EXPECT_EQ(fibers.key(), again.key());
+  EXPECT_EQ(run_reliable(plan, reliable_on()).key(),
+            run_reliable(plan, reliable_on()).key());
 }
 
 TEST_P(ReliableSweep, OffLeavesTrajectoryUntouched) {
@@ -1132,8 +1110,7 @@ TEST_P(ReliableSweep, OffLeavesTrajectoryUntouched) {
   // sequencing, no acks, no retransmit timers — the run is the raw lossy
   // trajectory, bit-identical to a config that never mentions reliability.
   const flex::FaultPlan plan = reliable_mix(GetParam());
-  const ReliableRunResult off =
-      run_reliable(plan, config::ReliableConfig{}, sim::default_backend());
+  const ReliableRunResult off = run_reliable(plan, config::ReliableConfig{});
   EXPECT_EQ(off.reliable_sends, 0u);
   EXPECT_EQ(off.reliable_copies_sent, 0u);
   EXPECT_EQ(off.retransmits, 0u);
@@ -1155,8 +1132,8 @@ TEST(Reliable, SendFailSurfacesTypedMessageWhenBudgetExhausts) {
   // worker's: every copy (first send + all retransmits) is dropped at the
   // cluster boundary, so the budget exhausts and the sender gets a typed
   // _SENDFAIL naming the message type and attempt count.
-  auto run = [](sim::Backend backend) {
-    sim::Engine eng(backend);
+  auto run = [] {
+    sim::Engine eng;
     flex::Machine machine{eng};
     mmos::System sys{machine};
     config::Configuration cfg = config::Configuration::simple(2);
@@ -1205,7 +1182,7 @@ TEST(Reliable, SendFailSurfacesTypedMessageWhenBudgetExhausts) {
     EXPECT_EQ(rt.message_heap().in_use(), 0u);
     return end;
   };
-  EXPECT_EQ(run(sim::Backend::fibers), run(sim::Backend::threads));
+  EXPECT_EQ(run(), 900'000'000);
 }
 
 TEST(Reliable, RetransmitDoesNotResurrectConsumedMessage) {
@@ -1214,8 +1191,8 @@ TEST(Reliable, RetransmitDoesNotResurrectConsumedMessage) {
   // sender deterministically retransmits a message the receiver has already
   // consumed. The second ACCEPT must time out — the stale copy is
   // sequence-suppressed, never re-enqueued as a fresh message.
-  auto run = [](sim::Backend backend) {
-    sim::Engine eng(backend);
+  auto run = [] {
+    sim::Engine eng;
     flex::Machine machine{eng};
     mmos::System sys{machine};
     config::Configuration cfg = config::Configuration::simple(2);
@@ -1261,7 +1238,8 @@ TEST(Reliable, RetransmitDoesNotResurrectConsumedMessage) {
     EXPECT_EQ(rt.message_heap().in_use(), 0u);
     return std::tuple(end, rt.stats().retransmits, rt.stats().dup_drops);
   };
-  EXPECT_EQ(run(sim::Backend::fibers), run(sim::Backend::threads));
+  EXPECT_EQ(run(), std::tuple(sim::Tick{20'005'148}, std::uint64_t{10},
+                              std::uint64_t{10}));
 }
 
 TEST(Reliable, SendDeadlineBoundsBlockingAndSurfacesFailure) {

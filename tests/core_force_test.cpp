@@ -6,6 +6,8 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/runtime.hpp"
 
@@ -450,12 +452,10 @@ TEST(Force, ReduceDepositsResultIntoSharedBlock) {
   EXPECT_EQ(seen_by_secondary, 1.0 + 2.0 + 3.0);
 }
 
-/// One barrier workload with a chosen per-member arrival skew, on a chosen
-/// engine backend. Returns the final tick so interleavings can be compared
-/// across backends.
-sim::Tick run_barrier_arrival_order(sim::Backend backend,
-                                    const std::vector<sim::Tick>& delays) {
-  sim::Engine eng(backend);
+/// One barrier workload with a chosen per-member arrival skew. Returns the
+/// final tick so each interleaving can be checked against a pinned value.
+sim::Tick run_barrier_arrival_order(const std::vector<sim::Tick>& delays) {
+  sim::Engine eng;
   flex::Machine machine{eng};
   mmos::System sys{machine};
   Runtime rt(sys, force_config(3));
@@ -481,19 +481,17 @@ sim::Tick run_barrier_arrival_order(sim::Backend backend,
 
 // Satellite of the collective-tree work: members may reach the barrier in
 // any order relative to the coordinator — including before the primary has
-// blocked at all — and the run must complete identically on both backends.
-TEST(ForceBarrier, ArrivalOrderInterleavingsMatchAcrossBackends) {
-  const std::vector<std::vector<sim::Tick>> orders = {
-      {8'000, 1, 1, 1},  // primary last
-      {1, 8'000, 1, 1},  // one child last
-      {1, 1, 1, 8'000},
-      {1, 2'000, 4'000, 6'000},  // staggered, primary first
+// blocked at all — and each order completes at its pinned tick.
+TEST(ForceBarrier, ArrivalOrderInterleavingsEndAtPinnedTicks) {
+  const std::vector<std::pair<std::vector<sim::Tick>, sim::Tick>> cases = {
+      {{8'000, 1, 1, 1}, 21'581},  // primary last
+      {{1, 8'000, 1, 1}, 22'481},  // one child last
+      {{1, 1, 1, 8'000}, 22'381},
+      {{1, 2'000, 4'000, 6'000}, 18'381},  // staggered, primary first
   };
-  for (const auto& d : orders) {
-    const sim::Tick fib = run_barrier_arrival_order(sim::Backend::fibers, d);
-    const sim::Tick thr = run_barrier_arrival_order(sim::Backend::threads, d);
-    EXPECT_EQ(fib, thr) << "delays " << d[0] << "," << d[1] << "," << d[2]
-                        << "," << d[3];
+  for (const auto& [d, end] : cases) {
+    EXPECT_EQ(run_barrier_arrival_order(d), end)
+        << "delays " << d[0] << "," << d[1] << "," << d[2] << "," << d[3];
   }
 }
 

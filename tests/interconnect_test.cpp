@@ -1,8 +1,8 @@
 // Tests for the pluggable interconnect layer: shared-bus math identity,
 // hierarchical/NUMA routing, the partition-window index, the raised machine
 // limits, and the scaling properties the topology exists for — a spread
-// workload on per-cluster buses beating the single shared bus, with
-// tick-identical trajectories across the fiber and thread backends.
+// workload on per-cluster buses beating the single shared bus, with a
+// pinned 256-PE trajectory.
 #include "flex/interconnect.hpp"
 
 #include <gtest/gtest.h>
@@ -279,9 +279,9 @@ struct ScalingResult {
   }
 };
 
-ScalingResult scaling_run(int pe_count, Topology kind, sim::Backend backend,
-                          int n_clusters, int rounds) {
-  sim::Engine eng(backend);
+ScalingResult scaling_run(int pe_count, Topology kind, int n_clusters,
+                          int rounds) {
+  sim::Engine eng;
   MachineSpec spec;
   spec.pe_count = pe_count;
   if (kind != Topology::shared) spec.topology = hier_spec(16);
@@ -351,9 +351,9 @@ ScalingResult scaling_run(int pe_count, Topology kind, sim::Backend backend,
 // the difference is contention (wait ticks), not workload.
 TEST(InterconnectScaling, HierBeatsSharedAt128Pes) {
   const ScalingResult shared =
-      scaling_run(128, Topology::shared, sim::Backend::fibers, 16, 6);
+      scaling_run(128, Topology::shared, 16, 6);
   const ScalingResult hier =
-      scaling_run(128, Topology::hier, sim::Backend::fibers, 16, 6);
+      scaling_run(128, Topology::hier, 16, 6);
   ASSERT_FALSE(shared.timed_out);
   ASSERT_FALSE(hier.timed_out);
   ASSERT_EQ(shared.pongs, 16 * 6);
@@ -372,16 +372,22 @@ TEST(InterconnectScaling, HierBeatsSharedAt128Pes) {
             cluster_transfers / 4);
 }
 
-// Cross-backend tick-identity at 256 PEs hierarchical: the determinism gate
-// that already covers fibers vs threads at 20 PEs must hold at scale.
-TEST(InterconnectScaling, CrossBackendTickIdentityAt256PesHier) {
-  const ScalingResult fibers =
-      scaling_run(256, Topology::hier, sim::Backend::fibers, 32, 3);
-  const ScalingResult threads =
-      scaling_run(256, Topology::hier, sim::Backend::threads, 32, 3);
-  ASSERT_FALSE(fibers.timed_out);
-  ASSERT_EQ(fibers.pongs, 32 * 3);
-  EXPECT_EQ(fibers.key(), threads.key());
+// The whole 256-PE hierarchical trajectory is pinned: end tick, events,
+// messages, pongs, total wait, and every bus's busy/wait/transfers/faulted.
+TEST(InterconnectScaling, PinnedTrajectoryAt256PesHier) {
+  const ScalingResult r = scaling_run(256, Topology::hier, 32, 3);
+  ASSERT_FALSE(r.timed_out);
+  ASSERT_EQ(r.pongs, 32 * 3);
+  using Bus4 = std::tuple<sim::Tick, sim::Tick, std::uint64_t, std::uint64_t>;
+  // 16 cluster buses, most with identical traffic, then the backbone.
+  std::vector<Bus4> per_bus(15, Bus4{12'766, 7'889, 18, 0});
+  per_bus[0] = {13'636, 21'419, 48, 0};
+  per_bus[10] = {19'149, 29'142, 27, 0};
+  per_bus.push_back({6'383, 0, 9, 0});
+  per_bus.push_back({960, 1'305, 30, 0});
+  EXPECT_EQ(r.key(), std::tuple(sim::Tick{1'500'019'960}, std::uint64_t{2'744},
+                                std::uint64_t{288}, 96, sim::Tick{154'423},
+                                per_bus));
 }
 
 TEST(InterconnectScaling, NumaRunsAndChargesMoreForFarTraffic) {
@@ -389,9 +395,9 @@ TEST(InterconnectScaling, NumaRunsAndChargesMoreForFarTraffic) {
   // costs, but the cross-backbone _INITIATE setup does, so the run completes
   // all work no earlier than hier and never times out.
   const ScalingResult hier =
-      scaling_run(64, Topology::hier, sim::Backend::fibers, 8, 3);
+      scaling_run(64, Topology::hier, 8, 3);
   const ScalingResult numa =
-      scaling_run(64, Topology::numa, sim::Backend::fibers, 8, 3);
+      scaling_run(64, Topology::numa, 8, 3);
   ASSERT_FALSE(numa.timed_out);
   EXPECT_GE(numa.end_tick, hier.end_tick);
   EXPECT_EQ(numa.pongs, hier.pongs);

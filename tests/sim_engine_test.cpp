@@ -6,7 +6,7 @@
 
 #include <stdexcept>
 #include <string>
-#include <tuple>
+#include <thread>
 #include <vector>
 
 namespace pisces::sim {
@@ -211,6 +211,7 @@ TEST(Process, KillBeforeStartSkipsBody) {
   eng.run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(p.state(), Process::State::finished);
+  EXPECT_EQ(eng.live_process_count(), 0u);
 }
 
 TEST(Process, BodyExceptionPropagatesToRun) {
@@ -220,6 +221,7 @@ TEST(Process, BodyExceptionPropagatesToRun) {
   });
   eng.schedule(0, [&] { eng.wake(p); });
   EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_EQ(p.state(), Process::State::finished);
 }
 
 TEST(Engine, DetectsBlockedProcessesAfterRun) {
@@ -325,34 +327,11 @@ TEST(EventQueue, SameTickFastPathReportsSizeAndNextTick) {
 }
 
 // ---------------------------------------------------------------------------
-// Process lifecycle on both scheduling substrates. The fiber and thread
-// backends must be observationally identical; every scenario here runs on
-// each. (Under ThreadSanitizer both instances use the thread backend — see
-// default_backend() — so the suite still passes, just with less diversity.)
+// Process lifecycle: kills, stale resumes, failures and shutdown.
 // ---------------------------------------------------------------------------
 
-class BackendTest : public ::testing::TestWithParam<Backend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, BackendTest,
-    ::testing::Values(Backend::fibers, Backend::threads),
-    [](const ::testing::TestParamInfo<Backend>& info) {
-      return info.param == Backend::fibers ? "fibers" : "threads";
-    });
-
-TEST_P(BackendTest, KillBeforeStartSkipsBodyAndAllocatesNothing) {
-  Engine eng(GetParam());
-  bool ran = false;
-  Process& p = eng.spawn("t", [&](Process&) { ran = true; });
-  eng.schedule(0, [&] { eng.kill(p); });
-  eng.run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(p.state(), Process::State::finished);
-  EXPECT_EQ(eng.live_process_count(), 0u);
-}
-
-TEST_P(BackendTest, KillDuringTimedWaitUnwindsWithCleanup) {
-  Engine eng(GetParam());
+TEST(Process, KillDuringTimedWaitUnwindsWithCleanup) {
+  Engine eng;
   bool after_wait = false;
   bool cleanup_ran = false;
   Process& p = eng.spawn("t", [&](Process& self) {
@@ -373,23 +352,8 @@ TEST_P(BackendTest, KillDuringTimedWaitUnwindsWithCleanup) {
   EXPECT_EQ(eng.now(), 100);
 }
 
-TEST_P(BackendTest, StaleTimeoutFromEarlierWaitIsIgnored) {
-  Engine eng(GetParam());
-  std::vector<bool> results;
-  Process& p = eng.spawn("t", [&](Process& self) {
-    results.push_back(self.wait_until(200));  // woken at 50
-    results.push_back(self.wait_until(150));  // times out at 150
-  });
-  eng.schedule(0, [&] { eng.wake(p); });
-  eng.schedule(50, [&] { eng.wake(p); });
-  eng.run();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results[0]);
-  EXPECT_TRUE(results[1]);
-}
-
-TEST_P(BackendTest, StaleResumeAfterProcessFinishedIsIgnored) {
-  Engine eng(GetParam());
+TEST(Process, StaleResumeAfterProcessFinishedIsIgnored) {
+  Engine eng;
   Process& p = eng.spawn("t", [&](Process& self) {
     (void)self.wait_until(eng.now() + 500);  // woken long before the deadline
   });
@@ -400,18 +364,8 @@ TEST_P(BackendTest, StaleResumeAfterProcessFinishedIsIgnored) {
   EXPECT_EQ(eng.now(), 500);
 }
 
-TEST_P(BackendTest, BodyExceptionPropagatesToRun) {
-  Engine eng(GetParam());
-  Process& p = eng.spawn("t", [&](Process&) {
-    throw std::runtime_error("boom");
-  });
-  eng.schedule(0, [&] { eng.wake(p); });
-  EXPECT_THROW(eng.run(), std::runtime_error);
-  EXPECT_EQ(p.state(), Process::State::finished);
-}
-
-TEST_P(BackendTest, ShutdownProcessesIsIdempotent) {
-  Engine eng(GetParam());
+TEST(Process, ShutdownProcessesIsIdempotent) {
+  Engine eng;
   int cleanups = 0;
   struct Guard {
     int* n;
@@ -433,8 +387,8 @@ TEST_P(BackendTest, ShutdownProcessesIsIdempotent) {
   EXPECT_EQ(cleanups, 3);
 }
 
-TEST_P(BackendTest, NestedSpawnAndChurnStaysDeterministic) {
-  Engine eng(GetParam());
+TEST(Process, NestedSpawnAndChurnStaysDeterministic) {
+  Engine eng;
   std::vector<std::string> log;
   Process& parent = eng.spawn("parent", [&](Process& self) {
     for (int i = 0; i < 3; ++i) {
@@ -458,8 +412,8 @@ TEST_P(BackendTest, NestedSpawnAndChurnStaysDeterministic) {
 // the clock without scheduling, dispatching or switching.
 // ---------------------------------------------------------------------------
 
-TEST_P(BackendTest, SleepWithEmptyQueueAdvancesWithoutAnEvent) {
-  Engine eng(GetParam());
+TEST(Process, SleepWithEmptyQueueAdvancesWithoutAnEvent) {
+  Engine eng;
   std::vector<std::uint64_t> fired;
   Process& p = eng.spawn("t", [&](Process& self) {
     fired.push_back(eng.events_fired());
@@ -476,8 +430,8 @@ TEST_P(BackendTest, SleepWithEmptyQueueAdvancesWithoutAnEvent) {
   EXPECT_EQ(p.state(), Process::State::finished);
 }
 
-TEST_P(BackendTest, EventQueuedAtTheWakeTickRunsBeforeTheSleeper) {
-  Engine eng(GetParam());
+TEST(Process, EventQueuedAtTheWakeTickRunsBeforeTheSleeper) {
+  Engine eng;
   std::vector<std::string> log;
   Process& p = eng.spawn("t", [&](Process& self) {
     self.sleep_until(100);  // an event is due at 100: real resume
@@ -495,8 +449,8 @@ TEST_P(BackendTest, EventQueuedAtTheWakeTickRunsBeforeTheSleeper) {
   EXPECT_EQ(eng.events_fired(), 4u);
 }
 
-TEST_P(BackendTest, RunUntilLeavesASleepPastTheLimitPending) {
-  Engine eng(GetParam());
+TEST(Process, RunUntilLeavesASleepPastTheLimitPending) {
+  Engine eng;
   bool done = false;
   Process& p = eng.spawn("t", [&](Process& self) {
     self.sleep_until(50);   // within the limit: in place
@@ -514,8 +468,8 @@ TEST_P(BackendTest, RunUntilLeavesASleepPastTheLimitPending) {
   EXPECT_EQ(eng.events_fired(), 2u);
 }
 
-TEST_P(BackendTest, BodyFailureInRunUntilLeavesNoStaleHorizon) {
-  Engine eng(GetParam());
+TEST(Process, BodyFailureInRunUntilLeavesNoStaleHorizon) {
+  Engine eng;
   Process& bad = eng.spawn("bad", [](Process&) { throw std::runtime_error("boom"); });
   eng.wake(bad);
   EXPECT_THROW(eng.run_until(10), std::runtime_error);
@@ -530,66 +484,81 @@ TEST_P(BackendTest, BodyFailureInRunUntilLeavesNoStaleHorizon) {
 }
 
 // A scenario mixing elided and real resumes — colliding sleepers, a lone
-// sleeper, a timed wait, and a run_until boundary — replays identically on
-// both backends.
-TEST(Backend, InPlaceAdvanceIdenticalAcrossBackends) {
-  auto simulate = [](Backend backend) {
-    Engine eng(backend);
-    std::string log;
-    for (int i = 0; i < 3; ++i) {
-      Process& p = eng.spawn("p" + std::to_string(i), [&eng, &log, i](Process& self) {
-        for (int k = 0; k < 5; ++k) {
-          log += static_cast<char>('a' + i) + std::to_string(eng.now()) + ' ';
-          self.sleep_until(eng.now() + 4 + 3 * i);
-        }
-        (void)self.wait_until(eng.now() + 20);
-        self.sleep_until(eng.now() + 1000 * (i + 1));
-        for (int k = 0; k < 3; ++k) self.sleep_until(eng.now() + 5);  // alone: in place
+// sleeper, a timed wait, and a run_until boundary. The expected trajectory
+// is pinned; CI checks it on both fiber switch implementations.
+TEST(Engine, InPlaceAdvanceTrajectoryIsPinned) {
+  Engine eng;
+  std::string log;
+  for (int i = 0; i < 3; ++i) {
+    Process& p = eng.spawn("p" + std::to_string(i), [&eng, &log, i](Process& self) {
+      for (int k = 0; k < 5; ++k) {
         log += static_cast<char>('a' + i) + std::to_string(eng.now()) + ' ';
-      });
-      eng.schedule(i, [&eng, &p] { eng.wake(p); });
-    }
-    eng.run_until(30);
-    log += "| ";
-    const Tick final_tick = eng.run();
-    return std::tuple(final_tick, eng.events_fired(), log);
-  };
-  const auto fibers = simulate(Backend::fibers);
-  EXPECT_EQ(fibers, simulate(Backend::threads));
-  EXPECT_EQ(std::get<0>(fibers), 3087);
+        self.sleep_until(eng.now() + 4 + 3 * i);
+      }
+      (void)self.wait_until(eng.now() + 20);
+      self.sleep_until(eng.now() + 1000 * (i + 1));
+      for (int k = 0; k < 3; ++k) self.sleep_until(eng.now() + 5);  // alone: in place
+      log += static_cast<char>('a' + i) + std::to_string(eng.now()) + ' ';
+    });
+    eng.schedule(i, [&eng, &p] { eng.wake(p); });
+  }
+  eng.run_until(30);
+  log += "| ";
+  EXPECT_EQ(eng.run(), 3087);
   // 3 wakes + 3 timeouts + 27 sleeps would be 33 events; the 9 tail sleeps
   // (nothing else due) advance in place.
-  EXPECT_EQ(std::get<1>(fibers), 24u);
+  EXPECT_EQ(eng.events_fired(), 24u);
+  EXPECT_EQ(log,
+            "a0 b1 c2 a4 b8 a8 c12 a12 b15 a16 c22 b22 b29 | "
+            "c32 c42 a1055 b2071 c3087 ");
 }
 
-// The two backends must produce bit-identical simulations: same final tick,
-// same event count, same interleaving.
-TEST(Backend, TickTrajectoriesIdenticalAcrossBackends) {
-  auto simulate = [](Backend backend) {
-    Engine eng(backend);
-    std::string log;
-    for (int i = 0; i < 10; ++i) {
-      Process& p =
-          eng.spawn("p" + std::to_string(i), [&eng, &log, i](Process& self) {
-            for (int k = 0; k < 4; ++k) {
-              log += static_cast<char>('a' + i);
-              self.sleep_until(eng.now() + 3 + i);
-            }
-          });
-      eng.schedule(i % 4, [&eng, &p] { eng.wake(p); });
-    }
-    const Tick final_tick = eng.run();
-    return std::tuple(final_tick, eng.events_fired(), log);
-  };
-  EXPECT_EQ(simulate(Backend::fibers), simulate(Backend::threads));
+// Ten sleepers with periods 3..12: the same final tick, event count and
+// interleaving every run, on either switch implementation.
+TEST(Engine, TickTrajectoryIsPinned) {
+  Engine eng;
+  std::string log;
+  for (int i = 0; i < 10; ++i) {
+    Process& p =
+        eng.spawn("p" + std::to_string(i), [&eng, &log, i](Process& self) {
+          for (int k = 0; k < 4; ++k) {
+            log += static_cast<char>('a' + i);
+            self.sleep_until(eng.now() + 3 + i);
+          }
+        });
+    eng.schedule(i % 4, [&eng, &p] { eng.wake(p); });
+  }
+  EXPECT_EQ(eng.run(), 49);
+  EXPECT_EQ(eng.events_fired(), 60u);
+  EXPECT_EQ(log, "aeibfjcgadhbaecfdbaigcjhbedfcgedihjfgihj");
+}
+
+// Process bodies are fibers on the thread that calls run(), never threads
+// of their own, so no two of them can race on shared state.
+TEST(Engine, EveryBodyRunsOnTheThreadThatCallsRun) {
+  Engine eng;
+  std::vector<decltype(std::this_thread::get_id())> seen;
+  for (int i = 0; i < 4; ++i) {
+    Process& p = eng.spawn("p" + std::to_string(i), [&eng, &seen, i](Process& self) {
+      seen.push_back(std::this_thread::get_id());
+      self.sleep_until(eng.now() + 1 + i);
+      seen.push_back(std::this_thread::get_id());
+      (void)self.wait_until(eng.now() + 10);
+      seen.push_back(std::this_thread::get_id());
+    });
+    eng.schedule(0, [&eng, &p] { eng.wake(p); });
+  }
+  eng.run();
+  ASSERT_EQ(seen.size(), 12u);
+  for (const auto& id : seen) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 // ---------------------------------------------------------------------------
 // Reaping: finished processes shed their heavy state but stay addressable.
 // ---------------------------------------------------------------------------
 
-TEST_P(BackendTest, ReapFinishedKeepsReferencesValid) {
-  Engine eng(GetParam());
+TEST(Engine, ReapFinishedKeepsReferencesValid) {
+  Engine eng;
   std::vector<Process*> procs;
   for (int i = 0; i < 5; ++i) {
     Process& p = eng.spawn("r" + std::to_string(i), [](Process&) {});
@@ -610,8 +579,8 @@ TEST_P(BackendTest, ReapFinishedKeepsReferencesValid) {
   }
 }
 
-TEST_P(BackendTest, ReapLeavesLiveProcessesScannable) {
-  Engine eng(GetParam());
+TEST(Engine, ReapLeavesLiveProcessesScannable) {
+  Engine eng;
   Process& stuck = eng.spawn("stuck", [](Process& self) { self.wait(); });
   eng.schedule(0, [&] { eng.wake(stuck); });
   for (int i = 0; i < 4; ++i) {
