@@ -211,7 +211,6 @@ TEST(Process, KillBeforeStartSkipsBody) {
   eng.run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(p.state(), Process::State::finished);
-  EXPECT_EQ(eng.live_process_count(), 0u);
 }
 
 TEST(Process, BodyExceptionPropagatesToRun) {
@@ -221,7 +220,6 @@ TEST(Process, BodyExceptionPropagatesToRun) {
   });
   eng.schedule(0, [&] { eng.wake(p); });
   EXPECT_THROW(eng.run(), std::runtime_error);
-  EXPECT_EQ(p.state(), Process::State::finished);
 }
 
 TEST(Engine, DetectsBlockedProcessesAfterRun) {
@@ -330,6 +328,17 @@ TEST(EventQueue, SameTickFastPathReportsSizeAndNextTick) {
 // Process lifecycle: kills, stale resumes, failures and shutdown.
 // ---------------------------------------------------------------------------
 
+TEST(Process, KillBeforeStartSkipsBodyAndAllocatesNothing) {
+  Engine eng;
+  bool ran = false;
+  Process& p = eng.spawn("t", [&](Process&) { ran = true; });
+  eng.schedule(0, [&] { eng.kill(p); });
+  eng.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(p.state(), Process::State::finished);
+  EXPECT_EQ(eng.live_process_count(), 0u);
+}
+
 TEST(Process, KillDuringTimedWaitUnwindsWithCleanup) {
   Engine eng;
   bool after_wait = false;
@@ -362,6 +371,38 @@ TEST(Process, StaleResumeAfterProcessFinishedIsIgnored) {
   eng.run();  // deadline event at 500 fires after the process finished
   EXPECT_EQ(p.state(), Process::State::finished);
   EXPECT_EQ(eng.now(), 500);
+}
+
+TEST(Process, StaleTimeoutIsIgnoredByALaterWait) {
+  Engine eng;
+  std::vector<bool> results;
+  std::vector<Tick> returned_at;
+  Process& p = eng.spawn("t", [&](Process& self) {
+    results.push_back(self.wait_until(200));  // woken at 50
+    returned_at.push_back(eng.now());
+    results.push_back(self.wait_until(150));  // times out at 150
+    returned_at.push_back(eng.now());
+    results.push_back(self.wait_until(300));  // the 200 event falls inside
+    returned_at.push_back(eng.now());
+  });
+  eng.schedule(0, [&] { eng.wake(p); });
+  eng.schedule(50, [&] { eng.wake(p); });
+  eng.run();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[0]);
+  EXPECT_TRUE(results[1]);
+  EXPECT_TRUE(results[2]);
+  EXPECT_EQ(returned_at, (std::vector<Tick>{50, 150, 300}));
+}
+
+TEST(Process, BodyExceptionPropagatesToRunAndFinishesTheProcess) {
+  Engine eng;
+  Process& p = eng.spawn("t", [&](Process&) {
+    throw std::runtime_error("boom");
+  });
+  eng.schedule(0, [&] { eng.wake(p); });
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_EQ(p.state(), Process::State::finished);
 }
 
 TEST(Process, ShutdownProcessesIsIdempotent) {
