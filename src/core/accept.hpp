@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -49,28 +50,42 @@ struct AcceptSpec {
   std::function<void()> on_delay;        ///< DELAY ... THEN body (may be null)
   bool no_timeout = false;               ///< wait forever (extension for servers)
 
-  AcceptSpec& of(std::string type, int count = 1) {
+  // Each builder has an lvalue form that returns the spec for chaining and
+  // an rvalue form, so a spec built inline — ctx.accept(AcceptSpec{}.of(..))
+  // — is moved into accept() rather than copied.
+  AcceptSpec& of(std::string type, int count = 1) & {
     types.push_back(TypeSpec{std::move(type), count, false});
     return *this;
   }
-  AcceptSpec& all_of(std::string type) {
+  AcceptSpec&& of(std::string type, int count = 1) && {
+    return std::move(of(std::move(type), count));
+  }
+  AcceptSpec& all_of(std::string type) & {
     types.push_back(TypeSpec{std::move(type), 0, true});
     return *this;
   }
-  AcceptSpec& total(int n) {
+  AcceptSpec&& all_of(std::string type) && {
+    return std::move(all_of(std::move(type)));
+  }
+  AcceptSpec& total(int n) & {
     total_count = n;
     return *this;
   }
-  AcceptSpec& delay_for(sim::Tick t, std::function<void()> then = nullptr) {
+  AcceptSpec&& total(int n) && { return std::move(total(n)); }
+  AcceptSpec& delay_for(sim::Tick t, std::function<void()> then = nullptr) & {
     delay = t;
     on_delay = std::move(then);
     return *this;
   }
+  AcceptSpec&& delay_for(sim::Tick t, std::function<void()> then = nullptr) && {
+    return std::move(delay_for(t, std::move(then)));
+  }
   /// Block indefinitely instead of using the system default timeout.
-  AcceptSpec& forever() {
+  AcceptSpec& forever() & {
     no_timeout = true;
     return *this;
   }
+  AcceptSpec&& forever() && { return std::move(forever()); }
 
   [[nodiscard]] bool lists(const std::string& type) const {
     for (const auto& t : types) {

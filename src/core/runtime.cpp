@@ -1527,7 +1527,8 @@ const TaskRecord* Runtime::find_record(TaskId id) const {
 }
 
 void Runtime::trace_event(trace::EventKind kind, TaskId task, TaskId other,
-                          int pe, std::uint64_t seq, std::string info) {
+                          int pe, std::uint64_t seq, const std::string& info) {
+  if (!tracer_.tally(kind, task)) return;
   trace::Record r;
   r.kind = kind;
   r.at = sys_->engine().now();
@@ -1535,8 +1536,8 @@ void Runtime::trace_event(trace::EventKind kind, TaskId task, TaskId other,
   r.task = task;
   r.other = other;
   r.seq = seq;
-  r.info = std::move(info);
-  tracer_.record(std::move(r));
+  r.info = info;
+  tracer_.emit(r);
 }
 
 }  // namespace pisces::rt

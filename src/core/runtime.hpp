@@ -445,8 +445,9 @@ class Runtime {
   void serve_window(Cluster& cl, TaskContext& ctl, const Message& m);
   void serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m);
 
+  /// Count a trace event; build its record only when a sink will take it.
   void trace_event(trace::EventKind kind, TaskId task, TaskId other, int pe,
-                   std::uint64_t seq, std::string info);
+                   std::uint64_t seq, const std::string& info);
 
   mmos::System* sys_;
   config::Configuration cfg_;

@@ -31,7 +31,7 @@ std::optional<std::size_t> SharedHeap::allocate(std::size_t bytes) {
     erase_free(free_blocks_.find(offset));
     const std::size_t remainder = size - need;
     if (remainder > 0) insert_free(offset + need, remainder);
-    allocated_[offset] = need;
+    relink(allocated_, alloc_spares_, {offset, need});
     in_use_ += need;
     peak_in_use_ = std::max(peak_in_use_, in_use_);
     ++total_allocations_;
@@ -49,7 +49,7 @@ void SharedHeap::release(std::size_t offset) {
   }
   std::size_t start = it->first;
   std::size_t size = it->second;
-  allocated_.erase(it);
+  alloc_spares_.push_back(allocated_.extract(it));
   in_use_ -= size;
 
   // Coalesce with the following free block.

@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace pisces::flex {
 
@@ -24,6 +25,11 @@ namespace pisces::flex {
 /// still coalesce on release. Offsets model shared-memory addresses; the
 /// heap tracks live/peak usage so the Section 13 storage experiment can show
 /// that message storage is dynamically recovered and reused.
+///
+/// The bookkeeping nodes are recycled: a node unlinked from a bin, the free
+/// map or the allocated map is kept (as a C++17 node handle) in a spare
+/// stash and relinked on the next insert, so once the heap has seen its
+/// peak block count no allocate() or release() calls the host allocator.
 class SharedHeap {
  public:
   explicit SharedHeap(std::size_t capacity) : capacity_(capacity) {
@@ -82,19 +88,45 @@ class SharedHeap {
   };
   using FreeMap = std::map<std::size_t, FreeEntry>;
 
+  using AllocMap = std::map<std::size_t, std::size_t>;
+
+  /// Insert `v`, relinking a stashed spare node when there is one instead
+  /// of allocating a fresh node.
+  template <class Container>
+  static typename Container::iterator relink(
+      Container& c, std::vector<typename Container::node_type>& spares,
+      typename Container::value_type v) {
+    if (spares.empty()) return c.insert(std::move(v)).first;
+    auto node = std::move(spares.back());
+    spares.pop_back();
+    if constexpr (requires { node.key(); }) {
+      node.key() = v.first;
+      node.mapped() = v.second;
+    } else {
+      node.value() = v;
+    }
+    return c.insert(std::move(node)).position;
+  }
+
   void insert_free(std::size_t offset, std::size_t size) {
-    auto bin_it = bins_[size_class(size)].insert({size, offset}).first;
-    free_blocks_[offset] = FreeEntry{size, bin_it};
+    auto bin_it = relink(bins_[size_class(size)], bin_spares_, {size, offset});
+    relink(free_blocks_, free_spares_, {offset, FreeEntry{size, bin_it}});
   }
   FreeMap::iterator erase_free(FreeMap::iterator it) {
-    bins_[size_class(it->second.size)].erase(it->second.bin_it);
-    return free_blocks_.erase(it);
+    bin_spares_.push_back(bins_[size_class(it->second.size)].extract(it->second.bin_it));
+    auto next = std::next(it);
+    free_spares_.push_back(free_blocks_.extract(it));
+    return next;
   }
 
   std::size_t capacity_;
   FreeMap free_blocks_;                             ///< offset -> entry (address order)
   std::array<Bin, kSizeClasses> bins_;              ///< segregated by size class
-  std::map<std::size_t, std::size_t> allocated_;    ///< offset -> size
+  AllocMap allocated_;                              ///< offset -> size
+  // Unlinked nodes kept for reuse (see the class comment).
+  std::vector<Bin::node_type> bin_spares_;
+  std::vector<FreeMap::node_type> free_spares_;
+  std::vector<AllocMap::node_type> alloc_spares_;
   bool outage_ = false;
   std::size_t in_use_ = 0;
   std::size_t peak_in_use_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -23,7 +22,9 @@ namespace pisces::sim {
 ///  - A FIFO fast path for events scheduled *at the tick currently being
 ///    processed* — the dominant wake/resume pattern, where a process is
 ///    rescheduled at `now` once per handoff. These skip the O(log n)
-///    push_heap/pop_heap churn entirely.
+///    push_heap/pop_heap churn entirely. The FIFO is a ring that keeps
+///    its slots between ticks, so steady-state pushes never allocate (a
+///    std::deque frees and reallocates a chunk every few events).
 ///
 /// Ordering stays exact: every event carries a global sequence number and
 /// pop() always removes the (tick, seq)-minimum of both stores. The FIFO
@@ -91,6 +92,39 @@ class EventQueue {
     }
   };
 
+  /// FIFO on a power-of-two ring of reused slots; grows by doubling.
+  class Ring {
+   public:
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] const Event& front() const { return slots_[head_]; }
+    void push_back(Event e) {
+      if (size_ == slots_.size()) grow();
+      slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(e);
+      ++size_;
+    }
+    Event take_front() {
+      Event e = std::move(slots_[head_]);
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --size_;
+      return e;
+    }
+
+   private:
+    void grow() {
+      std::vector<Event> bigger(std::max<std::size_t>(8, slots_.size() * 2));
+      for (std::size_t i = 0; i < size_; ++i) {
+        bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+      }
+      slots_ = std::move(bigger);
+      head_ = 0;
+    }
+
+    std::vector<Event> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   Event pop_min() {
     bool from_fifo;
     if (fifo_.empty()) {
@@ -103,9 +137,7 @@ class EventQueue {
       from_fifo = f.at < h.at || (f.at == h.at && f.seq < h.seq);
     }
     if (from_fifo) {
-      Event event = std::move(fifo_.front());
-      fifo_.pop_front();
-      return event;
+      return fifo_.take_front();
     }
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Event event = std::move(heap_.back());
@@ -115,14 +147,13 @@ class EventQueue {
 
   void spill_fifo() {
     while (!fifo_.empty()) {
-      heap_.push_back(std::move(fifo_.front()));
-      fifo_.pop_front();
+      heap_.push_back(fifo_.take_front());
       std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
   }
 
   std::vector<Event> heap_;
-  std::deque<Event> fifo_;  ///< events at current_tick_, in seq order
+  Ring fifo_;  ///< events at current_tick_, in seq order
   Tick current_tick_ = 0;
   bool has_current_ = false;
   std::uint64_t next_seq_ = 0;

@@ -41,8 +41,18 @@ class Tracer {
   void add_sink(Sink* sink) { sinks_.push_back(sink); }
 
   void record(Record r) {
-    ++counts_[index(r.kind)];
-    if (!enabled(r.kind, r.task)) return;
+    if (tally(r.kind, r.task)) emit(r);
+  }
+
+  /// The first half of record(): count one event of kind `k` for `task`
+  /// and say whether a sink will take its record. A caller that gets false
+  /// need not build the record at all.
+  [[nodiscard]] bool tally(EventKind k, rt::TaskId task) {
+    ++counts_[index(k)];
+    return !sinks_.empty() && enabled(k, task);
+  }
+  /// The second half: hand a record that tally() admitted to every sink.
+  void emit(const Record& r) {
     for (Sink* s : sinks_) s->emit(r);
   }
 

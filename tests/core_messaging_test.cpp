@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -567,6 +569,34 @@ TEST(Trace, EventsRecordedWithFilters) {
   EXPECT_GT(an.message_timings().size(), 0u);
 }
 
+// The runtime builds a record only for a sink that admits it, but the
+// per-kind counts see every event, with or without a sink.
+TEST(Trace, CountsEveryEventWhetherOrNotASinkTakesIt) {
+  auto run = [](trace::MemorySink* sink) {
+    config::Configuration cfg = config::Configuration::simple(1);
+    cfg.trace.set(trace::EventKind::msg_send, true);
+    Fixture f(cfg);
+    if (sink != nullptr) f->tracer().add_sink(sink);
+    f->register_tasktype("main", [](TaskContext& ctx) {
+      for (int i = 0; i < 3; ++i) ctx.send(Dest::Self(), "m");
+      ctx.accept(AcceptSpec{}.of("m", 3));
+    });
+    f->boot();
+    f->user_initiate(1, "main");
+    f->run();
+    return std::make_pair(f->tracer().count(trace::EventKind::msg_send),
+                          f->tracer().count(trace::EventKind::msg_accept));
+  };
+  trace::MemorySink sink;
+  const auto with_sink = run(&sink);
+  const auto without_sink = run(nullptr);
+  EXPECT_EQ(with_sink, without_sink);
+  // 3 user messages + 1 initiate request, each sent and accepted once.
+  EXPECT_EQ(with_sink, std::make_pair(std::uint64_t{4}, std::uint64_t{4}));
+  ASSERT_EQ(sink.records().size(), 4u);  // msg_accept is filtered
+  for (const auto& r : sink.records()) EXPECT_EQ(r.kind, trace::EventKind::msg_send);
+}
+
 TEST(Stats, MessageAccountingBalances) {
   Fixture f;
   f->register_tasktype("main", [&](TaskContext& ctx) {
@@ -616,6 +646,99 @@ TEST(MessageQueue, TypeIndexTracksArrivalOrder) {
   EXPECT_EQ(q.size(), 1u);
   q.clear();
   EXPECT_TRUE(q.empty());
+}
+
+Message queued(std::string type, std::uint64_t seq) {
+  Message m;
+  m.type = std::move(type);
+  m.seq = seq;
+  return m;
+}
+
+std::vector<std::uint64_t> arrival_seqs(const MessageQueue& q) {
+  std::vector<std::uint64_t> out;
+  for (const Message& m : q) out.push_back(m.seq);
+  return out;
+}
+
+TEST(MessageQueue, RecycledNodesKeepArrivalOrderAcrossInterleavedTypes) {
+  MessageQueue q;
+  std::uint64_t seq = 0;
+  // Several rounds so later pushes land in nodes recycled from earlier takes
+  // and in buckets emptied and reused under another type name.
+  for (int round = 0; round < 4; ++round) {
+    const std::uint64_t base = seq;
+    for (const char* t : {"a", "b", "a", "c", "b", "a"}) q.push_back(queued(t, ++seq));
+    EXPECT_EQ(q.count("a"), 3u);
+    EXPECT_EQ(q.first_of("a")->seq, base + 1);
+    EXPECT_EQ(q.first_of("b")->seq, base + 2);
+    EXPECT_EQ(q.first_of("c")->seq, base + 4);
+    EXPECT_EQ(q.take(q.first_of("b")).seq, base + 2);
+    EXPECT_EQ(q.take(q.first_of("a")).seq, base + 1);
+    EXPECT_EQ(q.first_of("a")->seq, base + 3);
+    EXPECT_EQ(q.first_of("b")->seq, base + 5);
+    EXPECT_EQ(arrival_seqs(q), (std::vector<std::uint64_t>{base + 3, base + 4,
+                                                           base + 5, base + 6}));
+    while (!q.empty()) q.pop_front();
+    EXPECT_EQ(q.first_of("a"), q.end());
+    EXPECT_EQ(q.count("c"), 0u);
+  }
+}
+
+TEST(MessageQueue, EraseLoopRemovesMidBucketEntries) {
+  MessageQueue q;
+  for (std::uint64_t s = 1; s <= 6; ++s) q.push_back(queued(s == 2 ? "b" : "a", s));
+  // DELETE MESSAGES-style loop that removes entries from the middle of the
+  // "a" bucket (3 and 4) while the bucket front (1) stays.
+  for (auto it = q.begin(); it != q.end();) {
+    it = (it->seq == 3 || it->seq == 4) ? q.erase(it) : std::next(it);
+  }
+  EXPECT_EQ(arrival_seqs(q), (std::vector<std::uint64_t>{1, 2, 5, 6}));
+  EXPECT_EQ(q.count("a"), 3u);
+  EXPECT_EQ(q.take(q.first_of("a")).seq, 1u);
+  EXPECT_EQ(q.take(q.first_of("a")).seq, 5u);
+  EXPECT_EQ(q.take(q.first_of("a")).seq, 6u);
+  EXPECT_EQ(q.first_of("a"), q.end());
+  EXPECT_EQ(q.first_of("b")->seq, 2u);
+}
+
+TEST(MessageQueue, ClearAfterRecyclingLeavesAnEmptyUsableQueue) {
+  MessageQueue q;
+  for (std::uint64_t s = 1; s <= 8; ++s) q.push_back(queued(s % 2 ? "a" : "b", s));
+  for (int i = 0; i < 3; ++i) q.take(q.first_of("a"));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.count("a"), 0u);
+  EXPECT_EQ(q.first_of("b"), q.end());
+  q.push_back(queued("b", 9));
+  q.push_back(queued("a", 10));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.first_of("a")->seq, 10u);
+  EXPECT_EQ(q.pop_front().seq, 9u);
+}
+
+// A spec built inline is an rvalue all the way down its builder chain, so
+// accept() takes it by move; a named spec still chains through lvalues.
+static_assert(std::is_same_v<decltype(AcceptSpec{}.of("a")), AcceptSpec&&>);
+static_assert(std::is_same_v<decltype(AcceptSpec{}.of("a").total(1).forever()),
+                             AcceptSpec&&>);
+static_assert(std::is_same_v<decltype(std::declval<AcceptSpec&>().of("a")),
+                             AcceptSpec&>);
+
+TEST(AcceptSpec, LvalueAndRvalueBuildersBuildTheSameSpec) {
+  AcceptSpec named;
+  named.of("rows", 3).all_of("done").total(2).delay_for(100).forever();
+  const AcceptSpec inline_built =
+      AcceptSpec{}.of("rows", 3).all_of("done").total(2).delay_for(100).forever();
+  for (const AcceptSpec& s : {named, inline_built}) {
+    ASSERT_EQ(s.types.size(), 2u);
+    EXPECT_EQ(s.types[0].type, "rows");
+    EXPECT_EQ(s.types[0].count, 3);
+    EXPECT_TRUE(s.types[1].all);
+    EXPECT_EQ(s.total_count, 2);
+    EXPECT_EQ(s.delay, sim::Tick{100});
+    EXPECT_TRUE(s.no_timeout);
+  }
 }
 
 // Regression: ON ANY/OTHER placement used to look only at free slots, so a

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "flex/shared_heap.hpp"
 #include "sim/random.hpp"
 
@@ -121,6 +124,52 @@ TEST(SharedHeap, ZeroByteRequestStillGetsGranule) {
   auto a = heap.allocate(0);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(heap.block_size(*a), SharedHeap::kGranule);
+}
+
+// Placement is pinned: a seeded trace of ~200k mixed-size allocate/release
+// calls on a near-full 64 KB heap must return exactly the offsets, and end
+// with exactly the free-space shape, that the heap produced before its
+// bookkeeping nodes were recycled (best fit within the size class, lowest
+// offset on ties). The expected values were taken from that earlier heap.
+TEST(SharedHeap, SeededTracePlacesBlocksAtPinnedOffsets) {
+  SharedHeap heap(64 * 1024);
+  sim::Rng rng(2024);
+  std::vector<std::size_t> live;
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over returned offsets
+  auto mix = [&hash](std::uint64_t v) { hash = (hash ^ v) * 0x100000001b3ull; };
+  auto release_random = [&] {
+    const std::size_t i = rng.below(live.size());
+    heap.release(live[i]);
+    live[i] = live.back();
+    live.pop_back();
+  };
+  std::uint64_t calls = 0;
+  while (calls < 200'000) {
+    // Allocate while the heap is below ~90% full, otherwise mostly release.
+    const bool full = heap.in_use() > heap.capacity() * 9 / 10;
+    if (!live.empty() && rng.below(100) < (full ? 80u : 35u)) {
+      release_random();
+    } else {
+      // Mostly message-sized blocks, with a tail of large payloads.
+      const std::size_t bytes = rng.below(8) == 0 ? 512 + rng.below(3584)
+                                                  : 1 + rng.below(200);
+      if (auto off = heap.allocate(bytes)) {
+        live.push_back(*off);
+        mix(*off);
+      } else {
+        mix(~std::uint64_t{0});
+      }
+    }
+    ++calls;
+  }
+  EXPECT_EQ(hash, 13056088566529338426ull);
+  EXPECT_EQ(heap.failed_allocations(), 11605u);
+  EXPECT_EQ(heap.largest_free_block(), 856u);
+  EXPECT_DOUBLE_EQ(heap.fragmentation(), 0.86887254901960786);
+  EXPECT_EQ(heap.live_blocks(), live.size());
+  for (std::size_t off : live) heap.release(off);
+  EXPECT_EQ(heap.free_block_count(), 1u);
+  EXPECT_EQ(heap.largest_free_block(), heap.capacity());
 }
 
 // Property: a random alloc/free workload never corrupts the heap — blocks

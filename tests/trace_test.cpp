@@ -37,6 +37,33 @@ TEST(Tracer, KindFilterGatesSinks) {
   EXPECT_EQ(t.count(EventKind::msg_send), 2u);
 }
 
+TEST(Tracer, FilteredKindStillCountsButNeverReachesTheSink) {
+  Tracer t;
+  MemorySink sink;
+  t.add_sink(&sink);
+  t.set_all(true);
+  t.set_kind(EventKind::msg_accept, false);
+  const rt::TaskId id{1, 3, 1};
+  t.record(make(EventKind::msg_send, 1, id));
+  t.record(make(EventKind::msg_accept, 2, id));
+  EXPECT_TRUE(t.tally(EventKind::msg_send, id));
+  EXPECT_FALSE(t.tally(EventKind::msg_accept, id));
+  ASSERT_EQ(sink.records().size(), 1u);
+  EXPECT_EQ(sink.records()[0].kind, EventKind::msg_send);
+  EXPECT_EQ(t.count(EventKind::msg_send), 2u);
+  EXPECT_EQ(t.count(EventKind::msg_accept), 2u);
+}
+
+TEST(Tracer, NoSinkAdmitsNothingButEveryEventCounts) {
+  Tracer t;
+  t.set_all(true);
+  const rt::TaskId id{1, 3, 1};
+  t.record(make(EventKind::lock, 1, id));
+  EXPECT_FALSE(t.tally(EventKind::lock, id));
+  EXPECT_EQ(t.count(EventKind::lock), 2u);
+  EXPECT_EQ(t.count(EventKind::unlock), 0u);
+}
+
 TEST(Tracer, PerTaskOverrideBeatsKindDefault) {
   Tracer t;
   const rt::TaskId loud{1, 3, 1};
