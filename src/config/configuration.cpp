@@ -1,12 +1,12 @@
 #include "config/configuration.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <set>
 #include <sstream>
+
+#include "config/options.hpp"
 
 namespace pisces::config {
 
@@ -84,14 +84,17 @@ std::vector<std::string> Configuration::validate(const flex::MachineSpec& spec) 
   if (!clusters.empty() && terminals == 0) {
     err("no cluster has a terminal (user controller)");
   }
-  if (time_limit <= 0) err("time limit must be positive");
-  if (collective_fanout < 2) err("collective fan-out must be at least 2");
-  if (message_heap_bytes < 4096) err("message heap under 4 KB is unusable");
   if (message_heap_bytes > spec.shared_memory_bytes) {
     err("message heap exceeds shared memory");
   }
   for (auto& problem : topology.validate(spec.pe_count)) {
     errors.push_back("topology: " + std::move(problem));
+  }
+  for (const Option& o : options()) {
+    if (o.records.count == nullptr) continue;
+    for (std::size_t i = 0, n = o.records.count(*this); i < n; ++i) {
+      check_record(o, o.records.get(*this, i), errors);
+    }
   }
   for (auto& problem : faults.validate(spec)) errors.push_back(std::move(problem));
   // Partition windows are cluster-level faults: cross-check the pair
@@ -104,109 +107,27 @@ std::vector<std::string> Configuration::validate(const flex::MachineSpec& spec) 
       }
     }
   }
-  if (supervision.max_restarts < 0) {
-    err("supervision restart budget must be >= 0");
-  }
-  if (supervision.backoff_base <= 0) err("supervision backoff base must be > 0");
-  if (supervision.backoff_factor < 1.0) {
-    err("supervision backoff factor must be >= 1");
-  }
-  if (supervision.backoff_cap < supervision.backoff_base) {
-    err("supervision backoff cap must be >= the base");
-  }
-  if (reliable.max_retries < 0) err("reliable retry budget must be >= 0");
-  if (reliable.backoff_base <= 0) err("reliable backoff base must be > 0");
-  if (reliable.backoff_factor < 1.0) err("reliable backoff factor must be >= 1");
-  if (reliable.backoff_cap < reliable.backoff_base) {
-    err("reliable backoff cap must be >= the base");
-  }
-  if (reliable.ack_flush_ticks <= 0) err("reliable ack flush window must be > 0");
-  if (reliable.send_deadline < 0) {
-    err("reliable send deadline must be >= 0 (0 disables it)");
-  }
   return errors;
 }
 
 void Configuration::save(std::ostream& os) const {
   os << "pisces-config v1\n";
-  os << "name " << name << "\n";
-  os << "timelimit " << time_limit << "\n";
-  os << "accept-timeout " << accept_default_timeout << "\n";
-  os << "heap " << message_heap_bytes << "\n";
-  os << "loadfile " << loadfile.name << " " << loadfile.mmos_kernel_bytes << " "
-     << loadfile.pisces_code_bytes << " " << loadfile.user_code_bytes << "\n";
-  for (const auto& c : clusters) {
-    os << "cluster " << c.number << " primary " << c.primary_pe << " slots "
-       << c.slots << " terminal " << (c.has_terminal ? 1 : 0);
-    if (c.place != PlacePolicy::primary) {
-      os << " place " << place_policy_name(c.place);
+  for (const Option& o : options()) {
+    if (o.save != nullptr) {
+      o.save(*this, os);
+      continue;
     }
-    os << " secondaries";
-    for (int pe : c.secondary_pes) os << " " << pe;
-    os << "\n";
-  }
-  if (collective_fanout != 4) {
-    os << "collective-fanout " << collective_fanout << "\n";
-  }
-  if (topology != flex::TopologySpec{}) {
-    os << "topology " << flex::topology_name(topology.kind) << " "
-       << topology.pes_per_cluster << " " << topology.backbone_access << " "
-       << topology.backbone_per_word << " " << topology.numa_hop_per_word
-       << "\n";
-  }
-  os << "trace";
-  for (int k = 0; k < trace::kEventKindCount; ++k) {
-    os << " " << (trace.kind_on[static_cast<std::size_t>(k)] ? 1 : 0);
-  }
-  os << "\n";
-  // max_digits10 keeps probabilities and factors bit-exact across the
-  // round-trip.
-  auto prob = [](double p) {
-    std::ostringstream s;
-    s << std::setprecision(std::numeric_limits<double>::max_digits10) << p;
-    return s.str();
-  };
-  if (faults.any() || faults.seed != 1) {
-    os << "fault-seed " << faults.seed << "\n";
-    for (const auto& h : faults.pe_halts) {
-      os << "fault-halt " << h.pe << " " << h.at << "\n";
+    if (o.shown != nullptr && !o.shown(*this)) continue;
+    for (std::size_t i = 0; i < o.records.count(*this); ++i) {
+      const void* rec = o.records.get(*this, i);
+      if (o.enabled.on != nullptr && !o.enabled.on(rec)) continue;
+      os << o.key;
+      for (const Field& f : o.fields) {
+        os << " ";
+        f.write(rec, os);
+      }
+      os << "\n";
     }
-    if (faults.bus_loss > 0 || faults.bus_duplication > 0 ||
-        faults.bus_delay_probability > 0) {
-      os << "fault-bus " << prob(faults.bus_loss) << " "
-         << prob(faults.bus_duplication) << " "
-         << prob(faults.bus_delay_probability) << " " << faults.bus_delay_ticks
-         << "\n";
-    }
-    for (const auto& w : faults.heap_outages) {
-      os << "fault-heap " << w.from << " " << w.until << "\n";
-    }
-    if (faults.disk_error > 0) {
-      os << "fault-disk " << prob(faults.disk_error) << "\n";
-    }
-    for (const auto& s : faults.pe_slowdowns) {
-      os << "fault-slow " << s.pe << " " << s.from << " " << s.until << " "
-         << prob(s.factor) << "\n";
-    }
-    for (const auto& p : faults.bus_partitions) {
-      os << "fault-partition " << p.cluster_a << " " << p.cluster_b << " "
-         << p.from << " " << p.until << "\n";
-    }
-    for (const auto& r : faults.pe_recoveries) {
-      os << "fault-recover " << r.pe << " " << r.at << "\n";
-    }
-  }
-  if (supervision.enabled) {
-    os << "supervision " << supervision.max_restarts << " "
-       << supervision.backoff_base << " " << prob(supervision.backoff_factor)
-       << " " << supervision.backoff_cap << " "
-       << (supervision.migrate ? 1 : 0) << "\n";
-  }
-  if (reliable.enabled) {
-    os << "reliable " << reliable.max_retries << " " << reliable.backoff_base
-       << " " << prob(reliable.backoff_factor) << " " << reliable.backoff_cap
-       << " " << reliable.ack_flush_ticks << " " << reliable.send_deadline
-       << "\n";
   }
   os << "end\n";
 }
@@ -218,112 +139,26 @@ Configuration Configuration::load(std::istream& is) {
   if (!std::getline(is, line) || line != "pisces-config v1") {
     throw std::runtime_error("Configuration::load: missing 'pisces-config v1' header");
   }
-  while (std::getline(is, line)) {
+  const auto& table = options();
+  for (int number = 2; std::getline(is, line); ++number) {
     std::istringstream ls(line);
     std::string key;
     if (!(ls >> key)) continue;
     if (key == "end") break;
-    if (key == "name") {
-      ls >> cfg.name;
-    } else if (key == "timelimit") {
-      ls >> cfg.time_limit;
-    } else if (key == "accept-timeout") {
-      ls >> cfg.accept_default_timeout;
-    } else if (key == "heap") {
-      ls >> cfg.message_heap_bytes;
-    } else if (key == "loadfile") {
-      ls >> cfg.loadfile.name >> cfg.loadfile.mmos_kernel_bytes >>
-          cfg.loadfile.pisces_code_bytes >> cfg.loadfile.user_code_bytes;
-    } else if (key == "cluster") {
-      ClusterConfig c;
-      std::string tok;
-      ls >> c.number;
-      while (ls >> tok) {
-        if (tok == "primary") {
-          ls >> c.primary_pe;
-        } else if (tok == "slots") {
-          ls >> c.slots;
-        } else if (tok == "terminal") {
-          int t = 0;
-          ls >> t;
-          c.has_terminal = t != 0;
-        } else if (tok == "place") {
-          std::string policy;
-          ls >> policy;
-          auto p = place_policy_from_name(policy);
-          if (!p.has_value()) {
-            throw std::runtime_error(
-                "Configuration::load: unknown placement policy '" + policy + "'");
-          }
-          c.place = *p;
-        } else if (tok == "secondaries") {
-          int pe = 0;
-          while (ls >> pe) c.secondary_pes.push_back(pe);
-        }
-      }
-      cfg.clusters.push_back(std::move(c));
-    } else if (key == "collective-fanout") {
-      ls >> cfg.collective_fanout;
-    } else if (key == "topology") {
-      std::string kind;
-      ls >> kind;
-      auto t = flex::topology_from_name(kind);
-      if (!t.has_value()) {
-        throw std::runtime_error("Configuration::load: unknown topology '" +
-                                 kind + "'");
-      }
-      cfg.topology.kind = *t;
-      ls >> cfg.topology.pes_per_cluster >> cfg.topology.backbone_access >>
-          cfg.topology.backbone_per_word >> cfg.topology.numa_hop_per_word;
-    } else if (key == "trace") {
-      // Older files carry fewer flags; extraction failure leaves `on` zero,
-      // so kinds the file predates simply load as off.
-      for (int k = 0; k < trace::kEventKindCount; ++k) {
-        int on = 0;
-        ls >> on;
-        cfg.trace.kind_on[static_cast<std::size_t>(k)] = on != 0;
-      }
-    } else if (key == "fault-seed") {
-      ls >> cfg.faults.seed;
-    } else if (key == "fault-halt") {
-      flex::FaultPlan::PeHalt h;
-      ls >> h.pe >> h.at;
-      cfg.faults.pe_halts.push_back(h);
-    } else if (key == "fault-bus") {
-      ls >> cfg.faults.bus_loss >> cfg.faults.bus_duplication >>
-          cfg.faults.bus_delay_probability >> cfg.faults.bus_delay_ticks;
-    } else if (key == "fault-heap") {
-      flex::FaultPlan::HeapOutage w;
-      ls >> w.from >> w.until;
-      cfg.faults.heap_outages.push_back(w);
-    } else if (key == "fault-disk") {
-      ls >> cfg.faults.disk_error;
-    } else if (key == "fault-slow") {
-      flex::FaultPlan::PeSlowdown s;
-      ls >> s.pe >> s.from >> s.until >> s.factor;
-      cfg.faults.pe_slowdowns.push_back(s);
-    } else if (key == "fault-partition") {
-      flex::FaultPlan::BusPartition p;
-      ls >> p.cluster_a >> p.cluster_b >> p.from >> p.until;
-      cfg.faults.bus_partitions.push_back(p);
-    } else if (key == "fault-recover") {
-      flex::FaultPlan::PeRecover r;
-      ls >> r.pe >> r.at;
-      cfg.faults.pe_recoveries.push_back(r);
-    } else if (key == "supervision") {
-      int migrate = 1;
-      ls >> cfg.supervision.max_restarts >> cfg.supervision.backoff_base >>
-          cfg.supervision.backoff_factor >> cfg.supervision.backoff_cap >>
-          migrate;
-      cfg.supervision.enabled = true;
-      cfg.supervision.migrate = migrate != 0;
-    } else if (key == "reliable") {
-      ls >> cfg.reliable.max_retries >> cfg.reliable.backoff_base >>
-          cfg.reliable.backoff_factor >> cfg.reliable.backoff_cap >>
-          cfg.reliable.ack_flush_ticks >> cfg.reliable.send_deadline;
-      cfg.reliable.enabled = true;
-    } else {
-      throw std::runtime_error("Configuration::load: unknown key '" + key + "'");
+    const auto o = std::find_if(table.begin(), table.end(),
+                                [&key](const Option& x) { return key == x.key; });
+    bool ok = o != table.end();
+    if (ok && o->load != nullptr) {
+      ok = o->load(cfg, ls);
+    } else if (ok) {
+      void* rec = o->records.edit(cfg);
+      for (auto f = o->fields.begin(); ok && f != o->fields.end(); ++f) ok = f->read(rec, ls);
+      if (o->enabled.set != nullptr) o->enabled.set(rec, true);
+    }
+    if (!ok || ls >> line) {
+      const std::string why = o == table.end() ? "unknown key '" + key + "'"
+                                               : "malformed '" + key + "' line";
+      throw std::runtime_error("Configuration::load: line " + std::to_string(number) + ": " + why);
     }
   }
   return cfg;

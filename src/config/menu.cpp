@@ -1,8 +1,11 @@
 #include "config/menu.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
+
+#include "config/options.hpp"
 
 namespace pisces::config {
 
@@ -27,6 +30,97 @@ bool parse_pe_list(std::istringstream& is, std::vector<int>* out) {
   }
   return true;
 }
+
+/// The fields [first, last) of one option that a menu command sets
+/// together, under sub-verb `sub` (null when the verb takes none).
+struct Group {
+  const Option* option;
+  std::size_t first;
+  std::size_t last;
+  const char* sub;
+};
+
+/// The groups behind `verb`: a run of fields from one sub-verb to the
+/// next, or a family member's whole line.
+std::vector<Group> groups_of(const std::string& verb) {
+  std::vector<Group> groups;
+  for (const Option& o : options()) {
+    if (verb != (o.verb != nullptr ? o.verb : o.key)) continue;
+    for (std::size_t i = 0; i < o.fields.size(); ++i) {
+      if (i == 0 || o.fields[i].sub != nullptr) {
+        groups.push_back({&o, i, i + 1, o.fields[i].sub});
+      } else {
+        ++groups.back().last;
+      }
+    }
+  }
+  if (!groups.empty() && groups.front().option != groups.back().option) {
+    for (Group& g : groups) g.sub = g.option->key + verb.size() + 1;
+  }
+  return groups;
+}
+
+void print_usage(const std::string& verb, const Group& g, std::ostream& out) {
+  out << "usage: " << verb;
+  if (g.sub != nullptr) out << " " << g.sub;
+  for (std::size_t i = g.first; i < g.last; ++i) {
+    const Field& f = g.option->fields[i];
+    if (f.kind == Kind::flag) out << " on|off";
+    else out << " <" << f.name << ">";
+  }
+  out << "\n";
+  if (g.option->note != nullptr) out << g.option->note << "\n";
+}
+
+/// Apply a command to a table option, all or nothing; false when no
+/// option has the verb.
+bool apply_option(Configuration& cfg, const std::string& verb, std::istream& is,
+                  std::ostream& out) {
+  const auto groups = groups_of(verb);
+  if (groups.empty()) return false;
+  const Option& head = *groups.front().option;
+  auto g = groups.begin();
+  std::string sub;
+  if (g->sub != nullptr && !(is >> sub)) {
+    out << "usage: " << verb << " " << (head.enabled.set != nullptr ? "on|off|" : "");
+    for (const Group& x : groups) out << x.sub << (&x != &groups.back() ? "|" : "");
+    out << (head.clear != nullptr ? "|clear" : "") << " ...\n";
+    return true;
+  }
+  if (head.enabled.set != nullptr && (sub == "on" || sub == "off")) {
+    head.enabled.set(head.records.edit(cfg), sub == "on");
+    return true;
+  }
+  if (head.clear != nullptr && sub == "clear") {
+    head.clear(cfg);
+    return true;
+  }
+  if (g->sub != nullptr) {
+    g = std::find_if(groups.begin(), groups.end(), [&](const Group& x) { return sub == x.sub; });
+    if (g == groups.end()) {
+      out << "unknown " << verb << " subcommand '" << sub << "'\n";
+      return true;
+    }
+  }
+  Configuration next = cfg;
+  void* rec = g->option->records.edit(next);
+  bool ok = true;
+  for (std::size_t i = g->first; ok && i < g->last; ++i) {
+    ok = g->option->fields[i].read(rec, is);
+  }
+  if (ok && !(is >> sub)) {
+    Problems problems;
+    check_record(*g->option, rec, problems);
+    for (const auto& p : problems) out << "error: " << p << "\n";
+    if (problems.empty()) {
+      cfg = std::move(next);
+      return true;
+    }
+  }
+  print_usage(verb, *g, out);
+  return true;
+}
+
 }  // namespace
 
 ClusterConfig* ConfigMenu::find_or_add(int number, std::ostream& out) {
@@ -50,9 +144,8 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
   if (!(is >> cmd)) return true;
   if (cmd == "done") return false;
 
-  if (cmd == "name") {
-    is >> cfg_.name;
-  } else if (cmd == "cluster") {
+  if (apply_option(cfg_, cmd, is, out)) return true;
+  if (cmd == "cluster") {
     int n = 0;
     if (is >> n) find_or_add(n, out);
     else out << "usage: cluster <n>\n";
@@ -102,14 +195,6 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
     } else {
       out << "usage: terminal <cluster>\n";
     }
-  } else if (cmd == "timelimit") {
-    is >> cfg_.time_limit;
-  } else if (cmd == "heap") {
-    is >> cfg_.message_heap_bytes;
-  } else if (cmd == "fanout") {
-    int k = 0;
-    if (is >> k && k >= 2) cfg_.collective_fanout = k;
-    else out << "usage: fanout <k>  (k >= 2)\n";
   } else if (cmd == "topology") {
     std::string kind;
     if (!(is >> kind)) {
@@ -160,138 +245,6 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
       if (!found) out << "unknown event kind '" << kind << "'\n";
     } else {
       out << "usage: trace <kind> on|off\n";
-    }
-  } else if (cmd == "fault") {
-    std::string sub;
-    if (!(is >> sub)) {
-      out << "usage: fault seed|halt|bus|heap|disk|slow|partition|recover|clear ...\n";
-    } else if (sub == "seed") {
-      if (!(is >> cfg_.faults.seed)) out << "usage: fault seed <n>\n";
-    } else if (sub == "halt") {
-      flex::FaultPlan::PeHalt h;
-      if (is >> h.pe >> h.at) cfg_.faults.pe_halts.push_back(h);
-      else out << "usage: fault halt <pe> <tick>\n";
-    } else if (sub == "bus") {
-      // One uniform draw per physical transfer picks at most one of
-      // loss/dup/delay, so the three probabilities share a single unit
-      // budget. Duplication and loss still compose on one *logical*
-      // transfer once retransmission is on: each retry is its own draw.
-      double loss = 0;
-      double dup = 0;
-      double delay_prob = 0;
-      sim::Tick delay_ticks = 0;
-      if (!(is >> loss >> dup >> delay_prob >> delay_ticks)) {
-        out << "usage: fault bus <loss> <dup> <delay-prob> <delay-ticks>\n"
-               "  (one draw per transfer picks at most one fault, so the\n"
-               "   probabilities must sum to <= 1; with `reliable on`, loss\n"
-               "   and duplication still compose across retries of one send)\n";
-      } else if (loss < 0 || loss > 1 || dup < 0 || dup > 1 ||
-                 delay_prob < 0 || delay_prob > 1) {
-        out << "error: each bus fault probability must be in [0, 1] (got loss="
-            << loss << " dup=" << dup << " delay-prob=" << delay_prob << ")\n";
-      } else if (loss + dup + delay_prob > 1.0) {
-        out << "error: bus fault probabilities must sum to <= 1 because one "
-               "draw per transfer picks at most one fault: loss " << loss
-            << " + dup " << dup << " + delay-prob " << delay_prob << " = "
-            << loss + dup + delay_prob << "\n";
-      } else {
-        auto& f = cfg_.faults;
-        f.bus_loss = loss;
-        f.bus_duplication = dup;
-        f.bus_delay_probability = delay_prob;
-        f.bus_delay_ticks = delay_ticks;
-      }
-    } else if (sub == "heap") {
-      flex::FaultPlan::HeapOutage w;
-      if (is >> w.from >> w.until) cfg_.faults.heap_outages.push_back(w);
-      else out << "usage: fault heap <from> <until>\n";
-    } else if (sub == "disk") {
-      if (!(is >> cfg_.faults.disk_error)) out << "usage: fault disk <prob>\n";
-    } else if (sub == "slow") {
-      flex::FaultPlan::PeSlowdown s;
-      if (is >> s.pe >> s.from >> s.until >> s.factor) {
-        cfg_.faults.pe_slowdowns.push_back(s);
-      } else {
-        out << "usage: fault slow <pe> <from> <until> <factor>\n";
-      }
-    } else if (sub == "partition") {
-      flex::FaultPlan::BusPartition p;
-      if (is >> p.cluster_a >> p.cluster_b >> p.from >> p.until) {
-        cfg_.faults.bus_partitions.push_back(p);
-      } else {
-        out << "usage: fault partition <cluster-a> <cluster-b> <from> <until>\n";
-      }
-    } else if (sub == "recover") {
-      flex::FaultPlan::PeRecover r;
-      if (is >> r.pe >> r.at) cfg_.faults.pe_recoveries.push_back(r);
-      else out << "usage: fault recover <pe> <tick>\n";
-    } else if (sub == "clear") {
-      cfg_.faults = flex::FaultPlan{};
-    } else {
-      out << "unknown fault subcommand '" << sub << "'\n";
-    }
-  } else if (cmd == "supervise") {
-    std::string sub;
-    auto& sup = cfg_.supervision;
-    if (!(is >> sub)) {
-      out << "usage: supervise on|off|restarts|backoff|migrate ...\n";
-    } else if (sub == "on") {
-      sup.enabled = true;
-    } else if (sub == "off") {
-      sup.enabled = false;
-    } else if (sub == "restarts") {
-      if (!(is >> sup.max_restarts)) out << "usage: supervise restarts <n>\n";
-    } else if (sub == "backoff") {
-      if (!(is >> sup.backoff_base >> sup.backoff_factor >> sup.backoff_cap)) {
-        out << "usage: supervise backoff <base> <factor> <cap>\n";
-      }
-    } else if (sub == "migrate") {
-      std::string setting;
-      if (is >> setting && (setting == "on" || setting == "off")) {
-        sup.migrate = setting == "on";
-      } else {
-        out << "usage: supervise migrate on|off\n";
-      }
-    } else {
-      out << "unknown supervise subcommand '" << sub << "'\n";
-    }
-  } else if (cmd == "reliable") {
-    std::string sub;
-    auto& rel = cfg_.reliable;
-    if (!(is >> sub)) {
-      out << "usage: reliable on|off|retries|backoff|ack-flush|deadline ...\n";
-    } else if (sub == "on") {
-      rel.enabled = true;
-    } else if (sub == "off") {
-      rel.enabled = false;
-    } else if (sub == "retries") {
-      int n = 0;
-      if (is >> n && n >= 0) rel.max_retries = n;
-      else out << "usage: reliable retries <n>  (n >= 0)\n";
-    } else if (sub == "backoff") {
-      sim::Tick base = 0;
-      double factor = 0;
-      sim::Tick cap = 0;
-      if (!(is >> base >> factor >> cap)) {
-        out << "usage: reliable backoff <base> <factor> <cap>\n";
-      } else if (base <= 0 || factor < 1.0 || cap < base) {
-        out << "error: reliable backoff needs base > 0, factor >= 1, "
-               "cap >= base\n";
-      } else {
-        rel.backoff_base = base;
-        rel.backoff_factor = factor;
-        rel.backoff_cap = cap;
-      }
-    } else if (sub == "ack-flush") {
-      sim::Tick t = 0;
-      if (is >> t && t > 0) rel.ack_flush_ticks = t;
-      else out << "usage: reliable ack-flush <ticks>  (ticks > 0)\n";
-    } else if (sub == "deadline") {
-      sim::Tick t = 0;
-      if (is >> t && t >= 0) rel.send_deadline = t;
-      else out << "usage: reliable deadline <ticks>  (0 disables)\n";
-    } else {
-      out << "unknown reliable subcommand '" << sub << "'\n";
     }
   } else if (cmd == "show") {
     cfg_.save(out);

@@ -13,19 +13,10 @@ namespace pisces::config {
 /// to use and their numbers; the primary FLEX PE for each cluster; the
 /// secondary FLEX PEs to run force members; the number of slots."
 ///
-/// Commands (one per line):
-///   name <text>                  set the configuration name
-///   cluster <n>                  add cluster n (or select it for editing)
-///   primary <n> <pe>             set cluster n's primary PE
-///   secondaries <n> <pe...>      set cluster n's force PEs (ranges ok: 7-15)
-///   slots <n> <count>            set cluster n's user slots
-///   terminal <n>                 put the user terminal on cluster n
-///   timelimit <ticks>            execution time limit
-///   heap <bytes>                 message-heap size
-///   trace <kind> on|off          default trace settings
-///   show                         print the configuration
-///   validate                     check against the machine
-///   done                         finish (returns the configuration)
+/// Commands, one per line: every menu verb of the option table
+/// (config/options.cpp; a verb alone prints its usage), the cluster verbs
+/// `cluster`, `primary`, `secondaries`, `place`, `slots` and `terminal`,
+/// `topology`, `trace`, `show`, `validate` and `done`.
 class ConfigMenu {
  public:
   explicit ConfigMenu(flex::MachineSpec spec = {}) : spec_(std::move(spec)) {}

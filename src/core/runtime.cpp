@@ -1111,10 +1111,8 @@ void Runtime::channel_settle(ReliableChannel& ch, std::uint64_t seq) {
 }
 
 sim::Tick Runtime::reliable_backoff(int attempt) const {
-  double d = static_cast<double>(cfg_.reliable.backoff_base);
-  const double cap = static_cast<double>(cfg_.reliable.backoff_cap);
-  for (int i = 1; i < attempt && d < cap; ++i) d *= cfg_.reliable.backoff_factor;
-  return static_cast<sim::Tick>(d > cap ? cap : d);
+  const auto& r = cfg_.reliable;
+  return sim::capped_backoff(r.backoff_base, r.backoff_factor, r.backoff_cap, attempt);
 }
 
 void Runtime::register_reliable(Message& msg, TaskId from, TaskId to,
@@ -1239,7 +1237,7 @@ void Runtime::flush_acks(ChannelKey key) {
   // 8-byte control word on the reverse path. Acks are fault-exempt (like
   // _CHILDTERM): losing one would only cause benign retransmissions, and
   // the exemption keeps the per-transfer fault-draw count a pure function
-  // of application traffic on both engine backends.
+  // of application traffic.
   sys_->machine().message_transfer(sys_->engine().now(), 8, key.second,
                                    key.first);
   ++stats_.acks_sent;

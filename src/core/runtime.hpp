@@ -374,9 +374,7 @@ class Runtime {
   [[nodiscard]] static bool channel_settled(const ReliableChannel& ch,
                                             std::uint64_t seq);
   static void channel_settle(ReliableChannel& ch, std::uint64_t seq);
-  /// Backoff before the n-th retransmission: base · factor^(n-1), capped.
-  /// Repeated multiplication (not pow) so fiber and thread backends compute
-  /// bit-identical delays.
+  /// Backoff before the n-th retransmission (sim::capped_backoff).
   [[nodiscard]] sim::Tick reliable_backoff(int attempt) const;
   /// Stamp `msg` with the next channel sequence, enter it into the
   /// retransmit buffer, and arm the first retransmit timer.

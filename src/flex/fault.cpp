@@ -1,21 +1,9 @@
 #include "flex/fault.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 namespace pisces::flex {
-
-namespace {
-
-bool probability(double p, const char* what, std::vector<std::string>& out) {
-  if (p < 0.0 || p > 1.0) {
-    out.push_back(std::string(what) + " probability must be in [0, 1]");
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 PartitionIndex::PartitionIndex(std::vector<Window> windows)
     : windows_(std::move(windows)) {
@@ -58,35 +46,14 @@ bool PartitionIndex::active(int a, int b, sim::Tick now) const {
 
 std::vector<std::string> FaultPlan::validate(const MachineSpec& spec) const {
   std::vector<std::string> problems;
-  for (const auto& h : pe_halts) {
-    if (h.pe <= spec.unix_pe_count || h.pe > spec.pe_count) {
-      problems.push_back("fault-halt PE " + std::to_string(h.pe) +
+  auto mmos_pe = [&](const char* family, int pe) {
+    if (pe <= spec.unix_pe_count || pe > spec.pe_count) {
+      problems.push_back(std::string(family) + " PE " + std::to_string(pe) +
                          " is not an MMOS PE");
     }
-    if (h.at < 0) {
-      problems.push_back("fault-halt tick must be >= 0");
-    }
-  }
-  probability(bus_loss, "bus loss", problems);
-  probability(bus_duplication, "bus duplication", problems);
-  probability(bus_delay_probability, "bus delay", problems);
-  probability(disk_error, "disk error", problems);
-  const double bus_sum = bus_loss + bus_duplication + bus_delay_probability;
-  if (bus_sum > 1.0) {
-    // One uniform draw per physical transfer picks at most one of
-    // loss/dup/delay, so the three probabilities share one unit budget.
-    // (Loss and duplication still compose on a logical transfer under the
-    // reliable layer, where each retransmit attempt gets its own draw.)
-    std::ostringstream msg;
-    msg << "bus fault probabilities must sum to <= 1 (one draw per transfer "
-           "picks at most one fault): loss "
-        << bus_loss << " + duplication " << bus_duplication << " + delay "
-        << bus_delay_probability << " = " << bus_sum;
-    problems.push_back(msg.str());
-  }
-  if (bus_delay_ticks < 0) {
-    problems.emplace_back("bus delay ticks must be >= 0");
-  }
+  };
+  for (const auto& h : pe_halts) mmos_pe("fault-halt", h.pe);
+  for (const auto& s : pe_slowdowns) mmos_pe("fault-slow", s.pe);
   auto windows = heap_outages;
   std::sort(windows.begin(), windows.end(),
             [](const HeapOutage& a, const HeapOutage& b) { return a.from < b.from; });
@@ -99,38 +66,20 @@ std::vector<std::string> FaultPlan::validate(const MachineSpec& spec) const {
     }
   }
   for (const auto& s : pe_slowdowns) {
-    if (s.pe <= spec.unix_pe_count || s.pe > spec.pe_count) {
-      problems.push_back("fault-slow PE " + std::to_string(s.pe) +
-                         " is not an MMOS PE");
-    }
-    if (s.factor <= 0.0) {
-      problems.emplace_back("fault-slow factor must be > 0");
-    }
-    if (s.from < 0 || s.from >= s.until) {
-      problems.emplace_back("fault-slow window must have 0 <= from < until");
+    if (s.from >= s.until) {
+      problems.emplace_back("fault-slow window must have from < until");
     }
   }
   for (const auto& p : bus_partitions) {
     if (p.cluster_a == p.cluster_b) {
-      problems.emplace_back(
-          "fault-partition must name two distinct clusters");
+      problems.emplace_back("fault-partition must name two distinct clusters");
     }
-    if (p.cluster_a <= 0 || p.cluster_b <= 0) {
-      problems.emplace_back("fault-partition cluster numbers must be >= 1");
-    }
-    if (p.from < 0 || p.from >= p.until) {
-      problems.emplace_back(
-          "fault-partition window must have 0 <= from < until");
+    if (p.from >= p.until) {
+      problems.emplace_back("fault-partition window must have from < until");
     }
   }
   for (const auto& r : pe_recoveries) {
-    if (r.pe <= spec.unix_pe_count || r.pe > spec.pe_count) {
-      problems.push_back("fault-recover PE " + std::to_string(r.pe) +
-                         " is not an MMOS PE");
-    }
-    if (r.at < 0) {
-      problems.emplace_back("fault-recover tick must be >= 0");
-    }
+    mmos_pe("fault-recover", r.pe);
     // A recovery only makes sense for a PE that was halted strictly earlier.
     const bool halted_before =
         std::any_of(pe_halts.begin(), pe_halts.end(), [&](const PeHalt& h) {
@@ -148,7 +97,7 @@ std::vector<std::string> FaultPlan::validate(const MachineSpec& spec) const {
 BusFault FaultInjector::next_bus_fault() {
   // One uniform draw per transfer keeps the stream position a pure function
   // of how many transfers have happened, which is what makes trajectories
-  // reproducible across backends.
+  // reproducible.
   const double u = bus_rng_.unit();
   if (u < plan_.bus_loss) {
     ++stats_.bus_lost;

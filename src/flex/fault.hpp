@@ -12,11 +12,11 @@
 namespace pisces::flex {
 
 /// Declarative description of the faults to inject into one run. Owned by
-/// the Configuration (new `fault-*` config tokens, see configuration.cpp)
+/// the Configuration (`fault-*` config lines, see config/options.cpp)
 /// and interpreted by a FaultInjector at boot. Everything here is
 /// deterministic: scheduled faults fire at fixed ticks, and probabilistic
 /// faults draw from dedicated sim::Rng streams seeded from `seed`, so the
-/// same plan replays the same fault trajectory on both engine backends.
+/// same plan replays the same fault trajectory.
 struct FaultPlan {
   std::uint64_t seed = 1;
 
@@ -83,8 +83,12 @@ struct FaultPlan {
            disk_error > 0.0;
   }
 
-  /// Sanity-check the plan against a machine description; returns a list of
-  /// human-readable problems (empty when the plan is well formed).
+  /// Check the plan against a machine description and across its fields
+  /// and records: PEs are MMOS PEs, windows are non-empty and heap windows
+  /// do not overlap, a partition names two clusters, a recovery follows a
+  /// halt. The range of each single field (and the bus probabilities' sum)
+  /// is checked by the configuration's option table (config/options.cpp).
+  /// Returns human-readable problems (empty when none).
   [[nodiscard]] std::vector<std::string> validate(const MachineSpec& spec) const;
 };
 

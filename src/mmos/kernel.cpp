@@ -129,7 +129,7 @@ void Proc::compute(sim::Tick ticks) {
   auto& eng = kernel_->engine();
   // Degraded-clock fault: the stretch factor is sampled once per compute
   // burst at its start tick, so the charge is a pure function of (pe, now)
-  // and replays identically on both engine backends.
+  // and replays identically.
   if (const auto* fi = kernel_->machine().fault_injector(); fi != nullptr && ticks > 0) {
     const double f = fi->slowdown_factor(kernel_->pe(), eng.now());
     if (f != 1.0) {

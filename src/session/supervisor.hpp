@@ -57,7 +57,7 @@ struct RecoveryRecord {
 /// the task tree, climbing past dead intermediates.
 ///
 /// Everything is driven off deterministic runtime hooks and engine timers,
-/// so a supervised run replays bit-identically per seed on both backends.
+/// so a supervised run replays bit-identically per seed.
 ///
 /// Lifetime: attach after construction of the Runtime and keep the
 /// Supervisor alive for the whole run (the destructor detaches the hooks).

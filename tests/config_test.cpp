@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cmath>
+#include <fstream>
+#include <iterator>
+#include <random>
 #include <sstream>
 
 #include "config/menu.hpp"
+#include "config/options.hpp"
 
 namespace pisces::config {
 namespace {
@@ -677,6 +683,194 @@ TEST(Menu, TopologyCommandSetsAndValidates) {
   EXPECT_NE(out.str().find("unknown topology option"), std::string::npos);
   menu.apply("topology shared", out);
   EXPECT_EQ(menu.current().topology.kind, flex::Topology::shared);
+}
+
+// Malformed lines are rejected whole: a field that is missing, does not
+// parse, or is followed by extra tokens names the key and the line.
+class LoadRejectsMalformedLine : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LoadRejectsMalformedLine, NamingTheKeyAndTheLine) {
+  const std::string line = GetParam();
+  std::stringstream ss("pisces-config v1\nname t\n" + line + "\nend\n");
+  try {
+    (void)Configuration::load(ss);
+    FAIL() << "accepted '" << line << "'";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + line.substr(0, line.find(' ')) + "'"), std::string::npos)
+        << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, LoadRejectsMalformedLine,
+    ::testing::Values("fault-halt 4", "timelimit abc", "reliable 3", "supervision x",
+                      "heap -5", "fault-bus 0.1 zz", "fault-seed -1", "timelimit 5 6",
+                      "collective-fanout 4.5", "supervision 3 250000 2 16000000 2",
+                      "cluster 1 primary 3 slots", "cluster 1 primary 3 wings 2",
+                      "topology hier 8 6 2", "trace 1 0 x", "loadfile a.load 1 2",
+                      "name"));
+
+TEST(Persistence, NamesWithSpacesRoundTrip) {
+  auto cfg = Configuration::simple(1);
+  cfg.name = "my run  of\tfour";
+  std::stringstream ss;
+  cfg.save(ss);
+  EXPECT_EQ(Configuration::load(ss).name, cfg.name);
+  ConfigMenu menu;
+  std::ostringstream out;
+  menu.apply("name   my run  ", out);
+  EXPECT_EQ(menu.current().name, "my run");
+}
+
+TEST(Menu, AppliesACommandAllOrNothing) {
+  ConfigMenu menu;
+  menu.edit(Configuration::simple(1));
+  auto saved = [&menu] {
+    std::ostringstream s;
+    menu.current().save(s);
+    return s.str();
+  };
+  const std::string before = saved();
+  std::ostringstream out;
+  // Missing or unparseable fields print the usage line and change nothing.
+  menu.apply("timelimit abc", out);
+  menu.apply("heap", out);
+  menu.apply("heap -5", out);
+  menu.apply("supervise backoff 1", out);
+  menu.apply("fault halt 4", out);
+  menu.apply("fault bus 0.1 0.1", out);
+  menu.apply("reliable deadline 5 6", out);
+  EXPECT_NE(out.str().find("usage: timelimit <ticks>"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("usage: heap <bytes>"), std::string::npos) << out.str();
+  // Every field's range applies to every verb that sets it.
+  menu.apply("supervise restarts -4", out);
+  menu.apply("reliable retries -2", out);
+  menu.apply("supervise backoff 0 2 1000", out);
+  menu.apply("supervise backoff 100 2 50", out);
+  menu.apply("timelimit 0", out);
+  menu.apply("heap 100", out);
+  menu.apply("fault halt 4 -1", out);
+  menu.apply("fault slow 3 0 1000 0", out);
+  menu.apply("fault partition 0 2 0 1000", out);
+  menu.apply("fault disk 1.5", out);
+  EXPECT_EQ(saved(), before);
+  EXPECT_TRUE(menu.current().faults.pe_halts.empty());
+  for (const char* msg :
+       {"error: supervision restarts count must be >= 0",
+        "error: reliable retries count must be >= 0",
+        "error: supervision backoff base must be > 0",
+        "error: supervision backoff cap must be >= the base",
+        "error: timelimit ticks must be > 0", "error: heap bytes must be >= 4096",
+        "error: fault-halt tick must be >= 0", "error: fault-slow factor must be > 0",
+        "error: fault-partition cluster-a must be >= 1",
+        "error: fault-disk prob must be in [0, 1]"}) {
+    EXPECT_NE(out.str().find(msg), std::string::npos) << msg;
+  }
+  // The accept timeout is settable from the menu like every table option.
+  menu.apply("accept-timeout 5000", out);
+  EXPECT_EQ(menu.current().accept_default_timeout, 5000);
+}
+
+// The whole output of a scripted session through ConfigMenu::repl,
+// compared byte for byte with a transcript recorded before the menu was
+// driven by the option table.
+TEST(Menu, ScriptedSessionMatchesTheGoldenTranscript) {
+  auto slurp = [](const std::string& path) {
+    std::ifstream f(path, std::ios::binary);
+    EXPECT_TRUE(f.good()) << path;
+    return std::string(std::istreambuf_iterator<char>(f), {});
+  };
+  std::istringstream script(slurp(CONFIG_MENU_DIR "/script.txt"));
+  std::ostringstream out;
+  ConfigMenu menu;
+  menu.repl(script, out);
+  EXPECT_EQ(out.str(), slurp(CONFIG_MENU_DIR "/expected.txt"));
+}
+
+// A token for `f` drawn from its range (clamped to a span every field type
+// holds), in the field's own grammar.
+std::string random_token(const Field& f, std::mt19937_64& rng) {
+  auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const std::string letters = "abcdefghijklmnopqrstuvwxyz0123456789._";
+  auto word = [&] {
+    std::string w;
+    for (std::size_t n = 1 + pick(8); n > 0; --n) w += letters[pick(letters.size())];
+    return w;
+  };
+  const double lo = std::max(f.range.lo, f.kind == Kind::natural ? 0.0 : -1e9);
+  const double hi = std::min(f.range.hi, 1e9);
+  switch (f.kind) {
+    case Kind::flag: return pick(2) == 0 ? "0" : "1";
+    case Kind::word: return word();
+    case Kind::text: return word() + std::string(pick(3), ' ') + " " + word() + " ";
+    case Kind::real: {
+      char buf[32];
+      const double v = std::uniform_real_distribution<double>(lo, hi)(rng);
+      return {buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr};
+    }
+    case Kind::natural:
+      if (std::isinf(f.range.lo) && std::isinf(f.range.hi)) return std::to_string(rng());
+      [[fallthrough]];
+    case Kind::integer:
+      return std::to_string(std::uniform_int_distribution<std::int64_t>(
+          static_cast<std::int64_t>(std::ceil(lo)), static_cast<std::int64_t>(hi))(rng));
+  }
+  return {};
+}
+
+// A configuration whose table options hold random in-range values (a
+// record is redrawn until its checks pass), plus random clusters, topology
+// and trace flags.
+Configuration random_configuration(std::mt19937_64& rng) {
+  auto pick = [&rng](int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); };
+  Configuration cfg;
+  cfg.clusters.clear();
+  for (int c = 0, n = 1 + pick(3); c < n; ++c) {
+    ClusterConfig cl{c + 1, 3 + c, {}, 1 + pick(8), c == 0, static_cast<PlacePolicy>(pick(3))};
+    for (int s = pick(4); s > 0; --s) cl.secondary_pes.push_back(7 + pick(14));
+    cfg.clusters.push_back(cl);
+  }
+  if (pick(2) == 0) {
+    cfg.topology = {static_cast<flex::Topology>(pick(3)), 1 + pick(32), pick(9), pick(9), pick(9)};
+  }
+  for (auto& on : cfg.trace.kind_on) on = pick(2) == 0;
+  const Configuration fresh;
+  for (const Option& o : options()) {
+    if (o.records.count == nullptr) continue;
+    const bool list = o.records.count(fresh) == 0;
+    for (int n = list ? pick(4) : pick(2); n > 0; --n) {
+      void* rec = o.records.edit(cfg);
+      Problems problems{"draw"};
+      for (int attempt = 0; !problems.empty() && attempt < 1000; ++attempt) {
+        for (const Field& f : o.fields) {
+          std::istringstream token(random_token(f, rng));
+          EXPECT_TRUE(f.read(rec, token)) << o.key << " " << f.name << ": " << token.str();
+        }
+        problems.clear();
+        check_record(o, rec, problems);
+      }
+      EXPECT_TRUE(problems.empty()) << o.key;
+      if (o.enabled.set != nullptr) o.enabled.set(rec, pick(2) == 0);
+    }
+  }
+  return cfg;
+}
+
+TEST(Persistence, RandomTableConfigurationsRoundTripByteExactly) {
+  std::mt19937_64 rng(20260418);
+  for (int i = 0; i < 2000; ++i) {
+    const Configuration cfg = random_configuration(rng);
+    std::stringstream first;
+    cfg.save(first);
+    const std::string saved = first.str();
+    std::stringstream again;
+    Configuration::load(first).save(again);
+    ASSERT_EQ(again.str(), saved) << "configuration " << i;
+  }
 }
 
 }  // namespace
