@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -10,26 +11,13 @@
 namespace pisces::config {
 
 namespace {
-/// Parse PE tokens like "7" or "7-15" into a list.
-bool parse_pe_list(std::istringstream& is, std::vector<int>* out) {
-  std::string tok;
-  while (is >> tok) {
-    const auto dash = tok.find('-');
-    try {
-      if (dash == std::string::npos) {
-        out->push_back(std::stoi(tok));
-      } else {
-        const int lo = std::stoi(tok.substr(0, dash));
-        const int hi = std::stoi(tok.substr(dash + 1));
-        if (hi < lo) return false;
-        for (int pe = lo; pe <= hi; ++pe) out->push_back(pe);
-      }
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-  return true;
-}
+
+/// The cluster verbs that set one value, with its usage text.
+const std::map<std::string, const char*> kClusterValues{
+    {"primary", "<pe>"},
+    {"secondaries", "<pe|lo-hi>..."},
+    {"place", "<primary|least-loaded|round-robin>"},
+    {"slots", "<count>"}};
 
 /// The fields [first, last) of one option that a menu command sets
 /// together, under sub-verb `sub` (null when the verb takes none).
@@ -149,43 +137,26 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
     int n = 0;
     if (is >> n) find_or_add(n, out);
     else out << "usage: cluster <n>\n";
-  } else if (cmd == "primary") {
+  } else if (const auto v = kClusterValues.find(cmd); v != kClusterValues.end()) {
+    // `<verb> <cluster> <value>`, the value read as on a saved cluster line.
+    const Configuration before = cfg_;
     int n = 0;
-    int pe = 0;
-    if (is >> n >> pe) {
-      if (auto* c = find_or_add(n, out)) c->primary_pe = pe;
-    } else {
-      out << "usage: primary <cluster> <pe>\n";
-    }
-  } else if (cmd == "secondaries") {
-    int n = 0;
-    std::vector<int> pes;
-    if (is >> n && parse_pe_list(is, &pes)) {
-      if (auto* c = find_or_add(n, out)) c->secondary_pes = std::move(pes);
-    } else {
-      out << "usage: secondaries <cluster> <pe|lo-hi>...\n";
-    }
-  } else if (cmd == "place") {
-    int n = 0;
-    std::string policy;
-    if (is >> n >> policy) {
-      auto p = place_policy_from_name(policy);
-      if (!p.has_value()) {
-        out << "unknown placement policy '" << policy
+    const bool numbered = bool(is >> n);
+    ClusterConfig* c = numbered ? find_or_add(n, out) : nullptr;
+    const bool found = c != nullptr;  // else find_or_add explained why
+    std::string value;
+    std::getline(is >> std::ws, value);
+    std::istringstream vs(value);
+    const bool read = found && read_cluster_setting(*c, cmd, vs);
+    std::string extra;
+    if (!read || vs >> extra) {
+      cfg_ = before;
+      if (cmd == "place" && found && !read && !value.empty()) {
+        out << "unknown placement policy '" << value.substr(0, value.find(' '))
             << "' (use primary, least-loaded, round-robin)\n";
-      } else if (auto* c = find_or_add(n, out)) {
-        c->place = *p;
+      } else if (found || !numbered) {
+        out << "usage: " << cmd << " <cluster> " << v->second << "\n";
       }
-    } else {
-      out << "usage: place <cluster> <primary|least-loaded|round-robin>\n";
-    }
-  } else if (cmd == "slots") {
-    int n = 0;
-    int count = 0;
-    if (is >> n >> count) {
-      if (auto* c = find_or_add(n, out)) c->slots = count;
-    } else {
-      out << "usage: slots <cluster> <count>\n";
     }
   } else if (cmd == "terminal") {
     int n = 0;

@@ -182,25 +182,8 @@ void save_clusters(const C& cfg, std::ostream& os) {
 bool load_cluster(C& cfg, std::istream& in) {
   ClusterConfig c;
   std::string word;
-  std::string val;
   bool ok = read(in, c.number);
-  while (ok && in >> word) {
-    if (word == "secondaries") {
-      while (ok && in >> val) ok = parse(val, c.secondary_pes.emplace_back());
-    } else if (!(in >> val)) {
-      ok = false;
-    } else if (word == "primary") {
-      ok = parse(val, c.primary_pe);
-    } else if (word == "slots") {
-      ok = parse(val, c.slots);
-    } else if (word == "terminal") {
-      ok = parse(val, c.has_terminal);
-    } else {
-      const auto p = place_policy_from_name(val);
-      ok = word == "place" && p.has_value();
-      if (ok) c.place = *p;
-    }
-  }
+  while (ok && in >> word) ok = read_cluster_setting(c, word, in);
   if (ok) cfg.clusters.push_back(std::move(c));
   return ok;
 }
@@ -239,6 +222,33 @@ bool load_trace(C& cfg, std::istream& in) {
 }
 
 }  // namespace
+
+bool read_cluster_setting(ClusterConfig& c, const std::string& word, std::istream& in) {
+  std::string val;
+  if (word == "secondaries") {
+    c.secondary_pes.clear();
+    while (in >> val) {
+      const auto dash = val.find('-');
+      int lo = 0;
+      int hi = 0;
+      if (!parse(val.substr(0, dash), lo) ||
+          !parse(dash == std::string::npos ? val : val.substr(dash + 1), hi) || hi < lo ||
+          hi - lo >= flex::kMaxPes) {
+        return false;
+      }
+      for (int pe = lo; pe <= hi; ++pe) c.secondary_pes.push_back(pe);
+    }
+    return true;
+  }
+  if (!(in >> val)) return false;
+  if (word == "primary") return parse(val, c.primary_pe);
+  if (word == "slots") return parse(val, c.slots);
+  if (word == "terminal") return parse(val, c.has_terminal);
+  const auto p = place_policy_from_name(val);
+  if (word != "place" || !p.has_value()) return false;
+  c.place = *p;
+  return true;
+}
 
 const std::vector<Option>& options() {
   using Sup = SupervisionConfig;

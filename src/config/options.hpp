@@ -80,6 +80,12 @@ struct Option {
 /// Every option, in saved-file order.
 [[nodiscard]] const std::vector<Option>& options();
 
+/// Read one setting of a saved `cluster` line into `c`: `primary <pe>`,
+/// `slots <n>`, `terminal 0|1`, `place <policy>` or `secondaries
+/// <pe|lo-hi>...` (the rest of the line). The menu's cluster verbs take the
+/// same values after the cluster number.
+bool read_cluster_setting(ClusterConfig& c, const std::string& word, std::istream& in);
+
 /// Append the range problems and the `check` problems of one record.
 void check_record(const Option& o, const void* rec, Problems& out);
 

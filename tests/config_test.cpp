@@ -742,6 +742,9 @@ TEST(Menu, AppliesACommandAllOrNothing) {
   menu.apply("fault halt 4", out);
   menu.apply("fault bus 0.1 0.1", out);
   menu.apply("reliable deadline 5 6", out);
+  menu.apply("primary 1 4x", out);
+  menu.apply("secondaries 1 5 8zz", out);
+  menu.apply("place 1 round-robin extra", out);
   EXPECT_NE(out.str().find("usage: timelimit <ticks>"), std::string::npos) << out.str();
   EXPECT_NE(out.str().find("usage: heap <bytes>"), std::string::npos) << out.str();
   // Every field's range applies to every verb that sets it.
