@@ -12,13 +12,6 @@ namespace pisces::config {
 
 namespace {
 
-/// The cluster verbs that set one value, with its usage text.
-const std::map<std::string, const char*> kClusterValues{
-    {"primary", "<pe>"},
-    {"secondaries", "<pe|lo-hi>..."},
-    {"place", "<primary|least-loaded|round-robin>"},
-    {"slots", "<count>"}};
-
 /// The fields [first, last) of one option that a menu command sets
 /// together, under sub-verb `sub` (null when the verb takes none).
 struct Group {
@@ -133,6 +126,12 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
   if (cmd == "done") return false;
 
   if (apply_option(cfg_, cmd, is, out)) return true;
+  // The cluster verbs that set one value, with its usage text.
+  static const std::map<std::string, const char*> kClusterValues{
+      {"primary", "<pe>"},
+      {"secondaries", "<pe|lo-hi>..."},
+      {"place", "<primary|least-loaded|round-robin>"},
+      {"slots", "<count>"}};
   if (cmd == "cluster") {
     int n = 0;
     if (is >> n) find_or_add(n, out);
