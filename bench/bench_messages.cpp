@@ -362,20 +362,6 @@ void BM_SendAcceptRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SendAcceptRoundTrip)->Unit(benchmark::kMillisecond);
 
-void BM_EncodeDecodeArgs(benchmark::State& state) {
-  std::vector<rt::Value> args = {
-      rt::Value(1), rt::Value(2.0),
-      rt::Value(std::vector<double>(static_cast<std::size_t>(state.range(0)), 0.0))};
-  for (auto _ : state) {
-    auto bytes = rt::encode_args(args);
-    auto back = rt::decode_args(bytes);
-    benchmark::DoNotOptimize(back);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rt::encoded_args_size(args)));
-}
-BENCHMARK(BM_EncodeDecodeArgs)->Arg(8)->Arg(256)->Arg(4096);
-
 }  // namespace
 
 /// E4f: supervision recovery latency. A worker is killed by a PE halt at a

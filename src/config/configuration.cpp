@@ -3,99 +3,77 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include "config/options.hpp"
 
 namespace pisces::config {
 
+constexpr const char* kPlacePolicyNames[] = {"primary", "least-loaded", "round-robin"};
+
 const char* place_policy_name(PlacePolicy p) {
-  switch (p) {
-    case PlacePolicy::primary: return "primary";
-    case PlacePolicy::least_loaded: return "least-loaded";
-    case PlacePolicy::round_robin: return "round-robin";
-  }
-  return "?";
+  return kPlacePolicyNames[static_cast<int>(p)];
 }
 
 std::optional<PlacePolicy> place_policy_from_name(const std::string& name) {
-  for (PlacePolicy p : {PlacePolicy::primary, PlacePolicy::least_loaded,
-                        PlacePolicy::round_robin}) {
-    if (name == place_policy_name(p)) return p;
-  }
-  return std::nullopt;
+  const auto p = std::ranges::find(kPlacePolicyNames, name);
+  if (p == std::end(kPlacePolicyNames)) return std::nullopt;
+  return static_cast<PlacePolicy>(p - kPlacePolicyNames);
 }
 
 const ClusterConfig* Configuration::find_cluster(int number) const {
-  for (const auto& c : clusters) {
-    if (c.number == number) return &c;
-  }
-  return nullptr;
+  const auto c = std::ranges::find(clusters, number, &ClusterConfig::number);
+  return c == clusters.end() ? nullptr : &*c;
 }
 
 std::vector<std::string> Configuration::validate(const flex::MachineSpec& spec) const {
+  // Every message is built only when its check fails, so a passing
+  // configuration allocates nothing.
   std::vector<std::string> errors;
-  auto err = [&errors](std::string msg) { errors.push_back(std::move(msg)); };
 
-  if (clusters.empty()) err("configuration has no clusters");
+  if (clusters.empty()) errors.push_back("configuration has no clusters");
   const int max_clusters = spec.pe_count - spec.unix_pe_count;
   if (static_cast<int>(clusters.size()) > max_clusters) {
-    err("more clusters (" + std::to_string(clusters.size()) + ") than MMOS PEs (" +
-        std::to_string(max_clusters) + ")");
+    errors.push_back("more clusters (" + std::to_string(clusters.size()) + ") than MMOS PEs (" +
+                     std::to_string(max_clusters) + ")");
   }
 
-  auto is_mmos = [&spec](int pe) {
-    return pe > spec.unix_pe_count && pe <= spec.pe_count;
-  };
-
-  std::set<int> numbers;
-  std::set<int> primaries;
-  int terminals = 0;
-  for (const auto& c : clusters) {
-    const std::string tag = "cluster " + std::to_string(c.number) + ": ";
-    if (c.number < 0) err(tag + "cluster numbers must be non-negative");
-    if (!numbers.insert(c.number).second) err(tag + "duplicate cluster number");
-    if (!is_mmos(c.primary_pe)) {
-      err(tag + "primary PE " + std::to_string(c.primary_pe) +
-          " is not an MMOS PE (PEs 1-" + std::to_string(spec.unix_pe_count) +
-          " run Unix only)");
+  for (auto c = clusters.begin(); c != clusters.end(); ++c) {
+    auto bad = [&errors, &c](const std::string& what) {
+      errors.push_back("cluster " + std::to_string(c->number) + ": " + what);
+    };
+    auto earlier = [&](auto same) { return std::any_of(clusters.begin(), c, same); };
+    if (c->number < 0) bad("cluster numbers must be non-negative");
+    if (earlier([&c](const ClusterConfig& o) { return o.number == c->number; })) {
+      bad("duplicate cluster number");
     }
-    if (!primaries.insert(c.primary_pe).second) {
-      err(tag + "primary PE " + std::to_string(c.primary_pe) +
-          " already primary for another cluster");
+    if (!spec.is_mmos_pe(c->primary_pe)) {
+      bad("primary PE " + std::to_string(c->primary_pe) + " is not an MMOS PE (PEs 1-" +
+          std::to_string(spec.unix_pe_count) + " run Unix only)");
     }
-    if (c.slots < 1) err(tag + "needs at least one user slot");
-    std::set<int> secs;
-    for (int pe : c.secondary_pes) {
-      if (!is_mmos(pe)) {
-        err(tag + "secondary PE " + std::to_string(pe) + " is not an MMOS PE");
-      }
-      if (pe == c.primary_pe) {
-        err(tag + "secondary PE " + std::to_string(pe) +
-            " is the cluster's own primary");
-      }
-      if (!secs.insert(pe).second) {
-        err(tag + "secondary PE " + std::to_string(pe) + " listed twice");
-      }
+    if (earlier([&c](const ClusterConfig& o) { return o.primary_pe == c->primary_pe; })) {
+      bad("primary PE " + std::to_string(c->primary_pe) + " already primary for another cluster");
     }
-    if (c.has_terminal) ++terminals;
+    if (c->slots < 1) bad("needs at least one user slot");
+    for (auto pe = c->secondary_pes.begin(); pe != c->secondary_pes.end(); ++pe) {
+      auto secondary = [&](const char* what) { bad("secondary PE " + std::to_string(*pe) + what); };
+      if (!spec.is_mmos_pe(*pe)) secondary(" is not an MMOS PE");
+      if (*pe == c->primary_pe) secondary(" is the cluster's own primary");
+      if (std::find(c->secondary_pes.begin(), pe, *pe) != pe) secondary(" listed twice");
+    }
   }
-  if (!clusters.empty() && terminals == 0) {
-    err("no cluster has a terminal (user controller)");
+  if (!clusters.empty() && std::ranges::none_of(clusters, &ClusterConfig::has_terminal)) {
+    errors.push_back("no cluster has a terminal (user controller)");
   }
   if (message_heap_bytes > spec.shared_memory_bytes) {
-    err("message heap exceeds shared memory");
+    errors.push_back("message heap exceeds shared memory");
   }
   for (auto& problem : topology.validate(spec.pe_count)) {
     errors.push_back("topology: " + std::move(problem));
   }
-  for (const Option& o : options()) {
-    if (o.records.count == nullptr) continue;
-    for (std::size_t i = 0, n = o.records.count(*this); i < n; ++i) {
-      check_record(o, o.records.get(*this, i), errors);
-    }
-  }
+  each_option(*this, [this, &errors](const Option& o, const auto& recs, auto fields) {
+    for (const auto& r : records(recs)) check_record(*this, o, r, fields, errors);
+  });
   for (auto& problem : faults.validate(spec)) errors.push_back(std::move(problem));
   // Partition windows are cluster-level faults: cross-check the pair
   // against the configured cluster numbers (FaultPlan::validate only sees
@@ -103,7 +81,7 @@ std::vector<std::string> Configuration::validate(const flex::MachineSpec& spec) 
   for (const auto& p : faults.bus_partitions) {
     for (int c : {p.cluster_a, p.cluster_b}) {
       if (find_cluster(c) == nullptr) {
-        err("fault-partition names unconfigured cluster " + std::to_string(c));
+        errors.push_back("fault-partition names unconfigured cluster " + std::to_string(c));
       }
     }
   }
@@ -112,52 +90,41 @@ std::vector<std::string> Configuration::validate(const flex::MachineSpec& spec) 
 
 void Configuration::save(std::ostream& os) const {
   os << "pisces-config v1\n";
-  for (const Option& o : options()) {
-    if (o.save != nullptr) {
-      o.save(*this, os);
-      continue;
-    }
-    if (o.shown != nullptr && !o.shown(*this)) continue;
-    for (std::size_t i = 0; i < o.records.count(*this); ++i) {
-      const void* rec = o.records.get(*this, i);
-      if (o.enabled.on != nullptr && !o.enabled.on(rec)) continue;
+  each_option(*this, [&os](const Option& o, const auto& recs, auto fields) {
+    if (!o.shown) return;
+    for (const auto& r : records(recs)) {
       os << o.key;
-      for (const Field& f : o.fields) {
-        os << " ";
-        f.write(rec, os);
-      }
+      fields(r, [&os](const Field&, const auto& v) { put(os << " ", v); });
       os << "\n";
     }
-  }
+  });
   os << "end\n";
 }
 
 Configuration Configuration::load(std::istream& is) {
   Configuration cfg;
-  cfg.clusters.clear();
   std::string line;
   if (!std::getline(is, line) || line != "pisces-config v1") {
     throw std::runtime_error("Configuration::load: missing 'pisces-config v1' header");
   }
-  const auto& table = options();
   for (int number = 2; std::getline(is, line); ++number) {
     std::istringstream ls(line);
     std::string key;
     if (!(ls >> key)) continue;
     if (key == "end") break;
-    const auto o = std::find_if(table.begin(), table.end(),
-                                [&key](const Option& x) { return key == x.key; });
-    bool ok = o != table.end();
-    if (ok && o->load != nullptr) {
-      ok = o->load(cfg, ls);
-    } else if (ok) {
-      void* rec = o->records.edit(cfg);
-      for (auto f = o->fields.begin(); ok && f != o->fields.end(); ++f) ok = f->read(rec, ls);
-      if (o->enabled.set != nullptr) o->enabled.set(rec, true);
-    }
+    bool known = false;
+    bool ok = false;
+    each_option(cfg, [&](const Option& o, auto& recs, auto fields) {
+      if (key != o.key) return;
+      auto& r = edit_record(recs);
+      known = ok = true;
+      fields(r, [&](const Field& f, auto& v) {
+        if (ok && !(o.partial && (ls >> std::ws).eof())) ok = read_field(ls, f, v);
+      });
+      if constexpr (Switched<std::remove_cvref_t<decltype(r)>>) r.enabled = true;
+    });
     if (!ok || ls >> line) {
-      const std::string why = o == table.end() ? "unknown key '" + key + "'"
-                                               : "malformed '" + key + "' line";
+      const std::string why = known ? "malformed '" + key + "' line" : "unknown key '" + key + "'";
       throw std::runtime_error("Configuration::load: line " + std::to_string(number) + ": " + why);
     }
   }
@@ -168,12 +135,8 @@ Configuration Configuration::simple(int n_clusters, int slots) {
   Configuration cfg;
   cfg.name = "simple" + std::to_string(n_clusters);
   for (int i = 0; i < n_clusters; ++i) {
-    ClusterConfig c;
-    c.number = i + 1;
-    c.primary_pe = 3 + i;
-    c.slots = slots;
-    c.has_terminal = (i == 0);
-    cfg.clusters.push_back(std::move(c));
+    cfg.clusters.push_back(
+        {.number = i + 1, .primary_pe = 3 + i, .slots = slots, .has_terminal = i == 0});
   }
   return cfg;
 }

@@ -5,6 +5,8 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "config/options.hpp"
 
@@ -12,112 +14,92 @@ namespace pisces::config {
 
 namespace {
 
-/// The fields [first, last) of one option that a menu command sets
-/// together, under sub-verb `sub` (null when the verb takes none).
-struct Group {
-  const Option* option;
-  std::size_t first;
-  std::size_t last;
-  const char* sub;
-};
-
-/// The groups behind `verb`: a run of fields from one sub-verb to the
-/// next, or a family member's whole line.
-std::vector<Group> groups_of(const std::string& verb) {
-  std::vector<Group> groups;
-  for (const Option& o : options()) {
-    if (verb != (o.verb != nullptr ? o.verb : o.key)) continue;
-    for (std::size_t i = 0; i < o.fields.size(); ++i) {
-      if (i == 0 || o.fields[i].sub != nullptr) {
-        groups.push_back({&o, i, i + 1, o.fields[i].sub});
-      } else {
-        ++groups.back().last;
-      }
-    }
-  }
-  if (!groups.empty() && groups.front().option != groups.back().option) {
-    for (Group& g : groups) g.sub = g.option->key + verb.size() + 1;
-  }
-  return groups;
+/// A family member's sub-verb, its key after the "<verb>-" prefix
+/// (`halt` for `fault-halt` under `fault`); empty for any other option.
+std::string_view member_sub(const Option& o, const std::string& verb) {
+  const std::string_view key = o.key;
+  return key.starts_with(verb + "-") ? key.substr(verb.size() + 1) : std::string_view{};
 }
 
-void print_usage(const std::string& verb, const Group& g, std::ostream& out) {
-  out << "usage: " << verb;
-  if (g.sub != nullptr) out << " " << g.sub;
-  for (std::size_t i = g.first; i < g.last; ++i) {
-    const Field& f = g.option->fields[i];
-    if (f.kind == Kind::flag) out << " on|off";
-    else out << " <" << f.name << ">";
-  }
-  out << "\n";
-  if (g.option->note != nullptr) out << g.option->note << "\n";
-}
-
-/// Apply a command to a table option, all or nothing; false when no
-/// option has the verb.
+/// Apply a command to the options with menu verb `verb`, all or nothing:
+/// it commits only if every field parses, no token is left over and the
+/// record passes its checks. False when no option has the verb.
 bool apply_option(Configuration& cfg, const std::string& verb, std::istream& is,
                   std::ostream& out) {
-  const auto groups = groups_of(verb);
-  if (groups.empty()) return false;
-  const Option& head = *groups.front().option;
-  auto g = groups.begin();
+  auto mine = [&verb](const Option& o) { return verb == (o.verb != nullptr ? o.verb : o.key); };
+  // The sub-verbs in order: `on` and `off` for a switched record, each
+  // family member's and `clear`, or each field group's; {""} for none.
+  std::vector<std::string_view> subs;
+  bool family = false;
+  each_option(cfg, [&](const Option& o, const auto& recs, auto fields) {
+    if (!mine(o)) return;
+    using R = std::remove_cvref_t<decltype(recs)>;
+    const std::string_view m = member_sub(o, verb);
+    if (subs.empty() && Switched<R>) subs.insert(subs.end(), {"on", "off"});
+    family = family || !m.empty();
+    if (!m.empty()) {
+      subs.push_back(m);
+    } else if constexpr (!List<R>) {
+      bool lead = true;  // the first field starts a group
+      fields(recs, [&](const Field& f, const auto&) {
+        if (std::exchange(lead, false) || f.sub != nullptr) subs.emplace_back(f.sub ? f.sub : "");
+      });
+    }
+  });
+  if (family) subs.push_back("clear");
+  if (subs.empty()) return false;
   std::string sub;
-  if (g->sub != nullptr && !(is >> sub)) {
-    out << "usage: " << verb << " " << (head.enabled.set != nullptr ? "on|off|" : "");
-    for (const Group& x : groups) out << x.sub << (&x != &groups.back() ? "|" : "");
-    out << (head.clear != nullptr ? "|clear" : "") << " ...\n";
+  if (!subs.front().empty() && !(is >> sub)) {
+    out << "usage: " << verb << " ";
+    for (const auto s : subs) out << (s == subs.front() ? "" : "|") << s;
+    out << " ...\n";
     return true;
   }
-  if (head.enabled.set != nullptr && (sub == "on" || sub == "off")) {
-    head.enabled.set(head.records.edit(cfg), sub == "on");
+  if (std::find(subs.begin(), subs.end(), sub) == subs.end()) {
+    out << "unknown " << verb << " subcommand '" << sub << "'\n";
     return true;
   }
-  if (head.clear != nullptr && sub == "clear") {
-    head.clear(cfg);
-    return true;
-  }
-  if (g->sub != nullptr) {
-    g = std::find_if(groups.begin(), groups.end(), [&](const Group& x) { return sub == x.sub; });
-    if (g == groups.end()) {
-      out << "unknown " << verb << " subcommand '" << sub << "'\n";
-      return true;
-    }
-  }
+  const bool whole = sub == "on" || sub == "off" || sub == "clear";  // the first record
   Configuration next = cfg;
-  void* rec = g->option->records.edit(next);
-  bool ok = true;
-  for (std::size_t i = g->first; ok && i < g->last; ++i) {
-    ok = g->option->fields[i].read(rec, is);
-  }
-  if (ok && !(is >> sub)) {
-    Problems problems;
-    check_record(*g->option, rec, problems);
-    for (const auto& p : problems) out << "error: " << p << "\n";
-    if (problems.empty()) {
-      cfg = std::move(next);
-      return true;
+  bool commit = whole;
+  bool first = true;
+  each_option(next, [&](const Option& o, auto& recs, auto fields) {
+    if (!mine(o)) return;
+    using R = std::remove_cvref_t<decltype(recs)>;
+    if (std::exchange(first, false) && whole) {
+      if constexpr (Switched<R>) recs.enabled = sub == "on";
+      else recs = R{};
+      return;
     }
-  }
-  print_usage(verb, *g, out);
+    const std::string_view m = member_sub(o, verb);
+    if (whole || (!m.empty() && m != sub)) return;
+    auto& r = edit_record(recs);
+    std::string usage = "usage: " + verb + (sub.empty() ? "" : " " + sub);
+    bool ok = true;
+    std::string_view group = m;
+    fields(r, [&](const Field& f, auto& v) {
+      if (m.empty() && f.sub != nullptr) group = f.sub;
+      if (group != sub) return;
+      const bool flag = std::is_same_v<std::remove_cvref_t<decltype(v)>, bool>;
+      usage += flag ? std::string(" on|off") : std::string(" <") + f.name + ">";
+      ok = ok && read_field(is, f, v);
+    });
+    std::string extra;
+    Problems problems;
+    if (ok && !(is >> extra)) {
+      check_record(next, o, r, fields, problems);
+      commit = problems.empty();
+    }
+    if (commit) return;
+    for (const auto& p : problems) out << "error: " << p << "\n";
+    out << usage << "\n";
+    if (o.note != nullptr) out << o.note << "\n";
+  });
+  if (commit) cfg = std::move(next);
   return true;
 }
 
 }  // namespace
-
-ClusterConfig* ConfigMenu::find_or_add(int number, std::ostream& out) {
-  for (auto& c : cfg_.clusters) {
-    if (c.number == number) return &c;
-  }
-  if (number < 0) {
-    out << "cluster numbers must be non-negative\n";
-    return nullptr;
-  }
-  ClusterConfig c;
-  c.number = number;
-  c.primary_pe = spec_.first_mmos_pe() + static_cast<int>(cfg_.clusters.size());
-  cfg_.clusters.push_back(c);
-  return &cfg_.clusters.back();
-}
 
 bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
   std::istringstream is(line);
@@ -126,105 +108,84 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
   if (cmd == "done") return false;
 
   if (apply_option(cfg_, cmd, is, out)) return true;
-  // The cluster verbs that set one value, with its usage text.
-  static const std::map<std::string, const char*> kClusterValues{
-      {"primary", "<pe>"},
-      {"secondaries", "<pe|lo-hi>..."},
-      {"place", "<primary|least-loaded|round-robin>"},
-      {"slots", "<count>"}};
-  if (cmd == "cluster") {
+  // The cluster verbs, `<verb> <cluster> [<value>]`, with their usage text.
+  static const std::map<std::string, const char*> kClusterVerbs{
+      {"cluster", "<n>"},
+      {"terminal", "<cluster>"},
+      {"primary", "<cluster> <pe>"},
+      {"secondaries", "<cluster> <pe|lo-hi>..."},
+      {"place", "<cluster> <primary|least-loaded|round-robin>"},
+      {"slots", "<cluster> <count>"}};
+  std::string extra;
+  if (const auto v = kClusterVerbs.find(cmd); v != kClusterVerbs.end()) {
+    // A new cluster number adds a cluster whose primary is the first MMOS
+    // PE plus the cluster count. The value is read as on a saved cluster
+    // line; `terminal` also takes the terminal from every other cluster.
+    Configuration next = cfg_;
+    auto& all = next.clusters;
     int n = 0;
-    if (is >> n) find_or_add(n, out);
-    else out << "usage: cluster <n>\n";
-  } else if (const auto v = kClusterValues.find(cmd); v != kClusterValues.end()) {
-    // `<verb> <cluster> <value>`, the value read as on a saved cluster line.
-    const Configuration before = cfg_;
-    int n = 0;
-    const bool numbered = bool(is >> n);
-    ClusterConfig* c = numbered ? find_or_add(n, out) : nullptr;
-    const bool found = c != nullptr;  // else find_or_add explained why
+    const bool numbered = read(is, n);
     std::string value;
     std::getline(is >> std::ws, value);
     std::istringstream vs(value);
-    const bool read = found && read_cluster_setting(*c, cmd, vs);
-    std::string extra;
-    if (!read || vs >> extra) {
-      cfg_ = before;
-      if (cmd == "place" && found && !read && !value.empty()) {
-        out << "unknown placement policy '" << value.substr(0, value.find(' '))
-            << "' (use primary, least-loaded, round-robin)\n";
-      } else if (found || !numbered) {
-        out << "usage: " << cmd << " <cluster> " << v->second << "\n";
-      }
+    auto c = std::ranges::find(all, n, &ClusterConfig::number);
+    if (c == all.end()) {
+      c = all.insert(c, {.number = n, .primary_pe = spec_.first_mmos_pe() + int(all.size())});
     }
-  } else if (cmd == "terminal") {
-    int n = 0;
-    if (is >> n) {
-      for (auto& c : cfg_.clusters) c.has_terminal = false;
-      if (auto* c = find_or_add(n, out)) c->has_terminal = true;
+    const bool set = cmd == "cluster" || cmd == "terminal" || read_cluster_setting(*c, cmd, vs);
+    if (numbered && n < 0) {
+      out << "cluster numbers must be non-negative\n";
+    } else if (numbered && set && !(vs >> extra)) {
+      if (cmd == "terminal") {
+        for (auto& other : all) other.has_terminal = &other == &*c;
+      }
+      cfg_ = std::move(next);
+    } else if (numbered && !set && cmd == "place" && !value.empty()) {
+      out << "unknown placement policy '" << value.substr(0, value.find(' '))
+          << "' (use primary, least-loaded, round-robin)\n";
     } else {
-      out << "usage: terminal <cluster>\n";
+      out << "usage: " << cmd << " " << v->second << "\n";
     }
   } else if (cmd == "topology") {
     std::string kind;
-    if (!(is >> kind)) {
-      out << "usage: topology <shared|hier|numa> [pes-per-cluster <n>] "
-             "[backbone-access <t>] [backbone-per-word <t>] "
-             "[hop-per-word <t>]\n";
-    } else {
-      auto t = flex::topology_from_name(kind);
-      if (!t.has_value()) {
-        out << "unknown topology '" << kind << "' (use shared, hier, numa)\n";
-      } else {
-        auto next = cfg_.topology;
-        next.kind = *t;
-        std::string opt;
-        bool ok = true;
-        while (ok && is >> opt) {
-          if (opt == "pes-per-cluster") ok = bool(is >> next.pes_per_cluster);
-          else if (opt == "backbone-access") ok = bool(is >> next.backbone_access);
-          else if (opt == "backbone-per-word") ok = bool(is >> next.backbone_per_word);
-          else if (opt == "hop-per-word") ok = bool(is >> next.numa_hop_per_word);
-          else {
-            out << "unknown topology option '" << opt << "'\n";
-            ok = false;
-          }
-        }
-        if (ok) {
-          auto problems = next.validate(spec_.pe_count);
-          if (problems.empty()) {
-            cfg_.topology = next;
-          } else {
-            for (const auto& p : problems) out << "error: " << p << "\n";
-          }
-        }
-      }
+    flex::TopologySpec next;  // a command states the whole topology, as a saved line does
+    const bool named = is >> kind && parse(kind, next.kind);
+    bool ok = named;
+    bool known = true;
+    while (ok && is >> extra) {
+      if (extra == "pes-per-cluster") ok = read(is, next.pes_per_cluster);
+      else if (extra == "backbone-access") ok = read(is, next.backbone_access);
+      else if (extra == "backbone-per-word") ok = read(is, next.backbone_per_word);
+      else if (extra == "hop-per-word") ok = read(is, next.numa_hop_per_word);
+      else ok = known = false;
     }
+    const auto problems = ok ? next.validate(spec_.pe_count) : std::vector<std::string>{};
+    if (!kind.empty() && !named) {
+      out << "unknown topology '" << kind << "' (use shared, hier, numa)\n";
+    } else if (!known) {
+      out << "unknown topology option '" << extra << "'\n";
+    } else if (!ok) {
+      out << "usage: topology <shared|hier|numa> [pes-per-cluster <n>] "
+             "[backbone-access <t>] [backbone-per-word <t>] [hop-per-word <t>]\n";
+    }
+    for (const auto& p : problems) out << "error: " << p << "\n";
+    if (ok && problems.empty()) cfg_.topology = next;
   } else if (cmd == "trace") {
     std::string kind;
-    std::string setting;
-    if (is >> kind >> setting) {
-      bool found = false;
-      for (int k = 0; k < trace::kEventKindCount; ++k) {
-        const auto ek = static_cast<trace::EventKind>(k);
-        if (trace::kind_name(ek) == kind) {
-          cfg_.trace.set(ek, setting == "on");
-          found = true;
-        }
-      }
-      if (!found) out << "unknown event kind '" << kind << "'\n";
-    } else {
+    bool on = false;
+    if (!(is >> kind) || !read(is, on) || is >> extra) {
       out << "usage: trace <kind> on|off\n";
+    } else if (const auto k = trace::kind_from_name(kind)) {
+      cfg_.trace.set(*k, on);
+    } else {
+      out << "unknown event kind '" << kind << "'\n";
     }
   } else if (cmd == "show") {
     cfg_.save(out);
   } else if (cmd == "validate") {
-    auto errors = cfg_.validate(spec_);
-    if (errors.empty()) {
-      out << "configuration OK\n";
-    } else {
-      for (const auto& e : errors) out << "error: " << e << "\n";
-    }
+    const auto errors = cfg_.validate(spec_);
+    if (errors.empty()) out << "configuration OK\n";
+    for (const auto& e : errors) out << "error: " << e << "\n";
   } else {
     out << "unknown command '" << cmd << "'\n";
   }
@@ -234,11 +195,9 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
 Configuration ConfigMenu::repl(std::istream& in, std::ostream& out) {
   out << "PISCES CONFIGURATION ENVIRONMENT (type 'done' to finish)\n";
   std::string line;
-  while (true) {
+  do {
     out << "config> " << std::flush;
-    if (!std::getline(in, line)) break;
-    if (!apply(line, out)) break;
-  }
+  } while (std::getline(in, line) && apply(line, out));
   return cfg_;
 }
 

@@ -14,7 +14,7 @@ namespace pisces::config {
 /// secondary FLEX PEs to run force members; the number of slots."
 ///
 /// Commands, one per line: every menu verb of the option table
-/// (config/options.cpp; a verb alone prints its usage), the cluster verbs
+/// (config/options.hpp; a verb alone prints its usage), the cluster verbs
 /// `cluster`, `primary`, `secondaries`, `place`, `slots` and `terminal`,
 /// `topology`, `trace`, `show`, `validate` and `done`.
 class ConfigMenu {
@@ -34,10 +34,8 @@ class ConfigMenu {
   [[nodiscard]] const Configuration& current() const { return cfg_; }
 
  private:
-  ClusterConfig* find_or_add(int number, std::ostream& out);
-
   flex::MachineSpec spec_;
-  Configuration cfg_ = [] { Configuration c; c.clusters.clear(); return c; }();
+  Configuration cfg_;
 };
 
 }  // namespace pisces::config

@@ -1,60 +1,16 @@
 #include "core/value.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace pisces::rt {
 namespace {
 
-enum class Tag : std::uint8_t {
-  int64 = 1,
-  real = 2,
-  boolean = 3,
-  string = 4,
-  taskid = 5,
-  window = 6,
-  real_array = 7,
-  int_array = 8,
-  list = 9,
-};
-
 [[noreturn]] void type_error(const char* wanted) {
   throw std::runtime_error(std::string("Value: not a ") + wanted);
 }
 
-template <typename T>
-void put_raw(std::vector<std::byte>& out, const T& x) {
-  const auto* p = reinterpret_cast<const std::byte*>(&x);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-T get_raw(const std::vector<std::byte>& in, std::size_t& pos) {
-  if (pos + sizeof(T) > in.size()) throw std::runtime_error("Value: truncated input");
-  T x;
-  std::memcpy(&x, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return x;
-}
-
-void put_u32(std::vector<std::byte>& out, std::size_t n) {
-  put_raw(out, static_cast<std::uint32_t>(n));
-}
-
-void put_taskid(std::vector<std::byte>& out, const TaskId& id) {
-  put_raw(out, static_cast<std::int32_t>(id.cluster));
-  put_raw(out, static_cast<std::int32_t>(id.slot));
-  put_raw(out, id.unique);
-}
-
-TaskId get_taskid(const std::vector<std::byte>& in, std::size_t& pos) {
-  TaskId id;
-  id.cluster = get_raw<std::int32_t>(in, pos);
-  id.slot = get_raw<std::int32_t>(in, pos);
-  id.unique = get_raw<std::uint64_t>(in, pos);
-  return id;
-}
-
+// Packed sizes of the fixed-size kinds: cluster, slot and a 64-bit unique
+// id; a window adds its array id, rectangle and array shape.
 constexpr std::size_t kTaskIdBytes = 4 + 4 + 8;
 constexpr std::size_t kWindowBytes = kTaskIdBytes + 4 + 4 * 4 + 2 * 4;
 
@@ -129,107 +85,6 @@ std::size_t Value::encoded_size() const {
                  v_);
 }
 
-void Value::encode(std::vector<std::byte>& out) const {
-  std::visit(
-      [&out](const auto& x) {
-        using T = std::decay_t<decltype(x)>;
-        if constexpr (std::is_same_v<T, std::int64_t>) {
-          out.push_back(std::byte{static_cast<std::uint8_t>(Tag::int64)});
-          put_raw(out, x);
-        } else if constexpr (std::is_same_v<T, double>) {
-          out.push_back(std::byte{static_cast<std::uint8_t>(Tag::real)});
-          put_raw(out, x);
-        } else if constexpr (std::is_same_v<T, bool>) {
-          out.push_back(std::byte{static_cast<std::uint8_t>(Tag::boolean)});
-          out.push_back(std::byte{static_cast<std::uint8_t>(x ? 1 : 0)});
-        } else if constexpr (std::is_same_v<T, std::string>) {
-          out.push_back(std::byte{static_cast<std::uint8_t>(Tag::string)});
-          put_u32(out, x.size());
-          const auto* p = reinterpret_cast<const std::byte*>(x.data());
-          out.insert(out.end(), p, p + x.size());
-        } else if constexpr (std::is_same_v<T, TaskId>) {
-          out.push_back(std::byte{static_cast<std::uint8_t>(Tag::taskid)});
-          put_taskid(out, x);
-        } else if constexpr (std::is_same_v<T, Window>) {
-          out.push_back(std::byte{static_cast<std::uint8_t>(Tag::window)});
-          put_taskid(out, x.owner);
-          put_raw(out, x.array);
-          put_raw(out, static_cast<std::int32_t>(x.rect.row0));
-          put_raw(out, static_cast<std::int32_t>(x.rect.col0));
-          put_raw(out, static_cast<std::int32_t>(x.rect.rows));
-          put_raw(out, static_cast<std::int32_t>(x.rect.cols));
-          put_raw(out, static_cast<std::int32_t>(x.array_rows));
-          put_raw(out, static_cast<std::int32_t>(x.array_cols));
-        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
-          out.push_back(std::byte{static_cast<std::uint8_t>(Tag::real_array)});
-          put_u32(out, x.size());
-          for (double d : x) put_raw(out, d);
-        } else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
-          out.push_back(std::byte{static_cast<std::uint8_t>(Tag::int_array)});
-          put_u32(out, x.size());
-          for (std::int64_t d : x) put_raw(out, d);
-        } else if constexpr (std::is_same_v<T, std::shared_ptr<const ValueList>>) {
-          out.push_back(std::byte{static_cast<std::uint8_t>(Tag::list)});
-          put_u32(out, x->size());
-          for (const Value& v : *x) v.encode(out);
-        }
-      },
-      v_);
-}
-
-Value Value::decode(const std::vector<std::byte>& in, std::size_t& pos) {
-  const auto tag = static_cast<Tag>(get_raw<std::uint8_t>(in, pos));
-  switch (tag) {
-    case Tag::int64:
-      return Value(get_raw<std::int64_t>(in, pos));
-    case Tag::real:
-      return Value(get_raw<double>(in, pos));
-    case Tag::boolean:
-      return Value(get_raw<std::uint8_t>(in, pos) != 0);
-    case Tag::string: {
-      const auto n = get_raw<std::uint32_t>(in, pos);
-      if (pos + n > in.size()) throw std::runtime_error("Value: truncated string");
-      std::string s(reinterpret_cast<const char*>(in.data() + pos), n);
-      pos += n;
-      return Value(std::move(s));
-    }
-    case Tag::taskid:
-      return Value(get_taskid(in, pos));
-    case Tag::window: {
-      Window w;
-      w.owner = get_taskid(in, pos);
-      w.array = get_raw<std::uint32_t>(in, pos);
-      w.rect.row0 = get_raw<std::int32_t>(in, pos);
-      w.rect.col0 = get_raw<std::int32_t>(in, pos);
-      w.rect.rows = get_raw<std::int32_t>(in, pos);
-      w.rect.cols = get_raw<std::int32_t>(in, pos);
-      w.array_rows = get_raw<std::int32_t>(in, pos);
-      w.array_cols = get_raw<std::int32_t>(in, pos);
-      return Value(w);
-    }
-    case Tag::real_array: {
-      const auto n = get_raw<std::uint32_t>(in, pos);
-      std::vector<double> xs(n);
-      for (auto& x : xs) x = get_raw<double>(in, pos);
-      return Value(std::move(xs));
-    }
-    case Tag::int_array: {
-      const auto n = get_raw<std::uint32_t>(in, pos);
-      std::vector<std::int64_t> xs(n);
-      for (auto& x : xs) x = get_raw<std::int64_t>(in, pos);
-      return Value(std::move(xs));
-    }
-    case Tag::list: {
-      const auto n = get_raw<std::uint32_t>(in, pos);
-      ValueList items;
-      items.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) items.push_back(decode(in, pos));
-      return Value::list(std::move(items));
-    }
-  }
-  throw std::runtime_error("Value: unknown tag in packet");
-}
-
 std::string Value::str() const {
   return std::visit(
       [](const auto& x) -> std::string {
@@ -258,29 +113,6 @@ bool operator==(const Value& a, const Value& b) {
     return la == lb;
   }
   return a.v_ == b.v_;
-}
-
-std::vector<std::byte> encode_args(const std::vector<Value>& args) {
-  std::vector<std::byte> out;
-  out.reserve(encoded_args_size(args));
-  std::uint32_t n = static_cast<std::uint32_t>(args.size());
-  const auto* p = reinterpret_cast<const std::byte*>(&n);
-  out.insert(out.end(), p, p + 4);
-  for (const Value& v : args) v.encode(out);
-  return out;
-}
-
-std::vector<Value> decode_args(const std::vector<std::byte>& bytes) {
-  std::size_t pos = 0;
-  if (bytes.size() < 4) throw std::runtime_error("decode_args: truncated header");
-  std::uint32_t n;
-  std::memcpy(&n, bytes.data(), 4);
-  pos = 4;
-  std::vector<Value> args;
-  args.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) args.push_back(Value::decode(bytes, pos));
-  if (pos != bytes.size()) throw std::runtime_error("decode_args: trailing bytes");
-  return args;
 }
 
 std::size_t encoded_args_size(const std::vector<Value>& args) {

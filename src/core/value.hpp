@@ -20,8 +20,9 @@ using ValueList = std::vector<Value>;
 
 /// A message argument value. Pisces Fortran messages carry INTEGER, REAL,
 /// LOGICAL, CHARACTER, TASKID and WINDOW values plus arrays; a Value is the
-/// C++ embedding of that set. Values serialize to a defined byte layout so
-/// the run-time system can charge real shared-memory storage for messages.
+/// C++ embedding of that set. Each value has a packed size, a tag byte plus
+/// its payload, so the run-time system can charge real shared-memory storage
+/// for messages; the layout is a size model only, nothing is serialized.
 class Value {
  public:
   using Storage = std::variant<std::int64_t, double, bool, std::string, TaskId,
@@ -68,12 +69,6 @@ class Value {
   /// (tag byte + payload; arrays/strings add a 4-byte length prefix).
   [[nodiscard]] std::size_t encoded_size() const;
 
-  /// Append the packed representation to `out`.
-  void encode(std::vector<std::byte>& out) const;
-  /// Parse one value from `in` starting at `pos`; advances `pos`.
-  /// Throws std::runtime_error on malformed input.
-  static Value decode(const std::vector<std::byte>& in, std::size_t& pos);
-
   /// Human-readable rendering (traces, user-controller terminal output).
   [[nodiscard]] std::string str() const;
 
@@ -83,9 +78,7 @@ class Value {
   Storage v_;
 };
 
-/// Pack an argument list (used for whole messages).
-std::vector<std::byte> encode_args(const std::vector<Value>& args);
-std::vector<Value> decode_args(const std::vector<std::byte>& bytes);
+/// Packed size of an argument list: a 4-byte count plus each value.
 std::size_t encoded_args_size(const std::vector<Value>& args);
 
 }  // namespace pisces::rt

@@ -262,20 +262,10 @@ void ExecutionEnvironment::display_pe_loading(std::ostream& out) const {
   }
 }
 
-namespace {
-std::optional<trace::EventKind> kind_from_name(const std::string& name) {
-  for (int k = 0; k < trace::kEventKindCount; ++k) {
-    const auto kind = static_cast<trace::EventKind>(k);
-    if (trace::kind_name(kind) == name) return kind;
-  }
-  return std::nullopt;
-}
-}  // namespace
-
 void ExecutionEnvironment::change_trace(std::ostream& out,
                                         const std::string& kind_name_str,
                                         bool on) {
-  if (auto kind = kind_from_name(kind_name_str)) {
+  if (auto kind = trace::kind_from_name(kind_name_str)) {
     rt_->tracer().set_kind(*kind, on);
     out << "trace " << kind_name_str << " " << (on ? "on" : "off") << "\n";
     return;
@@ -289,7 +279,7 @@ void ExecutionEnvironment::change_trace_for_task(std::ostream& out,
                                                  rt::TaskId task,
                                                  const std::string& kind_name_str,
                                                  bool on) {
-  if (auto kind = kind_from_name(kind_name_str)) {
+  if (auto kind = trace::kind_from_name(kind_name_str)) {
     rt_->tracer().set_task(task, *kind, on);
     out << "trace " << kind_name_str << " for " << task.str() << " "
         << (on ? "on" : "off") << "\n";

@@ -47,7 +47,7 @@ bool PartitionIndex::active(int a, int b, sim::Tick now) const {
 std::vector<std::string> FaultPlan::validate(const MachineSpec& spec) const {
   std::vector<std::string> problems;
   auto mmos_pe = [&](const char* family, int pe) {
-    if (pe <= spec.unix_pe_count || pe > spec.pe_count) {
+    if (!spec.is_mmos_pe(pe)) {
       problems.push_back(std::string(family) + " PE " + std::to_string(pe) +
                          " is not an MMOS PE");
     }

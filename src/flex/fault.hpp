@@ -87,7 +87,8 @@ struct FaultPlan {
   /// and records: PEs are MMOS PEs, windows are non-empty and heap windows
   /// do not overlap, a partition names two clusters, a recovery follows a
   /// halt. The range of each single field (and the bus probabilities' sum)
-  /// is checked by the configuration's option table (config/options.cpp).
+  /// is checked by the configuration's option descriptors
+  /// (config::each_option in config/options.hpp).
   /// Returns human-readable problems (empty when none).
   [[nodiscard]] std::vector<std::string> validate(const MachineSpec& spec) const;
 };

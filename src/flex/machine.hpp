@@ -32,6 +32,7 @@ struct MachineSpec {
   TopologySpec topology;                            // default: one shared bus
 
   [[nodiscard]] int first_mmos_pe() const { return unix_pe_count + 1; }
+  [[nodiscard]] bool is_mmos_pe(int pe) const { return pe > unix_pe_count && pe <= pe_count; }
 };
 
 /// The simulated FLEX/32: PEs, memories, the shared bus, and disks, driven
@@ -49,9 +50,7 @@ class Machine {
   [[nodiscard]] bool is_unix_pe(int pe) const {
     return pe >= 1 && pe <= spec_.unix_pe_count;
   }
-  [[nodiscard]] bool is_mmos_pe(int pe) const {
-    return pe > spec_.unix_pe_count && pe <= spec_.pe_count;
-  }
+  [[nodiscard]] bool is_mmos_pe(int pe) const { return spec_.is_mmos_pe(pe); }
   [[nodiscard]] bool has_disk(int pe) const;
 
   [[nodiscard]] MemoryArena& local_memory(int pe);

@@ -159,16 +159,9 @@ std::vector<Record> Analyzer::parse(std::istream& is) {
     std::istringstream ls(line);
     std::string tag, kind_str;
     if (!(ls >> tag >> kind_str) || tag != "TRACE") continue;
-    Record r;
-    bool known = false;
-    for (int k = 0; k < kEventKindCount; ++k) {
-      if (kind_name(static_cast<EventKind>(k)) == kind_str) {
-        r.kind = static_cast<EventKind>(k);
-        known = true;
-        break;
-      }
-    }
-    if (!known) continue;
+    const auto kind = kind_from_name(kind_str);
+    if (!kind.has_value()) continue;
+    Record r{.kind = *kind};
     std::string field;
     while (ls >> field) {
       const auto eq = field.find('=');

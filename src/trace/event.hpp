@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -53,6 +54,14 @@ inline constexpr int kEventKindCount = 16;
     case EventKind::dup_drop: return "DUP-DROP";
   }
   return "?";
+}
+
+/// The kind named `name` (as kind_name spells it), if any.
+[[nodiscard]] constexpr std::optional<EventKind> kind_from_name(std::string_view name) {
+  for (int k = 0; k < kEventKindCount; ++k) {
+    if (kind_name(static_cast<EventKind>(k)) == name) return static_cast<EventKind>(k);
+  }
+  return std::nullopt;
 }
 
 /// One trace line: "Type of event. Taskid of relevant task (or tasks).

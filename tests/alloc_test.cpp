@@ -143,5 +143,19 @@ TEST(Allocations, MessageQueueWithOneQueuedMessageAllocatesNothing) {
   EXPECT_EQ(q.size(), 1u);
 }
 
+// Configuration::validate runs on every boot. A passing configuration
+// builds no problem message, so it allocates nothing.
+TEST(Allocations, PassingConfigurationValidatesWithoutAllocating) {
+  PISCES_SKIP_UNDER_ASAN();
+  const flex::MachineSpec spec;
+  for (const auto& cfg :
+       {config::Configuration::simple(2), config::Configuration::section9_example()}) {
+    const std::uint64_t before = allocations();
+    const auto problems = cfg.validate(spec);
+    EXPECT_EQ(allocations() - before, 0u) << cfg.name;
+    EXPECT_TRUE(problems.empty()) << cfg.name;
+  }
+}
+
 }  // namespace
 }  // namespace pisces::rt

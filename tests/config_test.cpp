@@ -8,6 +8,7 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <random>
 #include <sstream>
 
@@ -683,6 +684,11 @@ TEST(Menu, TopologyCommandSetsAndValidates) {
   EXPECT_NE(out.str().find("unknown topology option"), std::string::npos);
   menu.apply("topology shared", out);
   EXPECT_EQ(menu.current().topology.kind, flex::Topology::shared);
+  // Each command states the whole topology: hier -> shared keeps none of
+  // the hier parameters, so a shared configuration saves no topology line.
+  menu.apply("topology hier pes-per-cluster 8 backbone-access 10", out);
+  menu.apply("topology shared", out);
+  EXPECT_EQ(menu.current().topology, flex::TopologySpec{});
 }
 
 // Malformed lines are rejected whole: a field that is missing, does not
@@ -726,7 +732,9 @@ TEST(Persistence, NamesWithSpacesRoundTrip) {
 
 TEST(Menu, AppliesACommandAllOrNothing) {
   ConfigMenu menu;
-  menu.edit(Configuration::simple(1));
+  auto base = Configuration::simple(1);
+  base.trace.set(trace::EventKind::msg_send, true);
+  menu.edit(base);
   auto saved = [&menu] {
     std::ostringstream s;
     menu.current().save(s);
@@ -745,7 +753,16 @@ TEST(Menu, AppliesACommandAllOrNothing) {
   menu.apply("primary 1 4x", out);
   menu.apply("secondaries 1 5 8zz", out);
   menu.apply("place 1 round-robin extra", out);
+  menu.apply("trace MSG-SEND bogus", out);
+  menu.apply("trace MSG-SEND on extra", out);
+  menu.apply("terminal 1x", out);
+  menu.apply("cluster 2x", out);
+  menu.apply("topology hier pes-per-cluster abc", out);
   EXPECT_NE(out.str().find("usage: timelimit <ticks>"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("usage: trace <kind> on|off"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("usage: terminal <cluster>"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("usage: cluster <n>"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("usage: topology"), std::string::npos) << out.str();
   EXPECT_NE(out.str().find("usage: heap <bytes>"), std::string::npos) << out.str();
   // Every field's range applies to every verb that sets it.
   menu.apply("supervise restarts -4", out);
@@ -776,15 +793,15 @@ TEST(Menu, AppliesACommandAllOrNothing) {
   EXPECT_EQ(menu.current().accept_default_timeout, 5000);
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.good()) << path;
+  return {std::istreambuf_iterator<char>(f), {}};
+}
+
 // The whole output of a scripted session through ConfigMenu::repl,
-// compared byte for byte with a transcript recorded before the menu was
-// driven by the option table.
+// compared byte for byte with the recorded transcript.
 TEST(Menu, ScriptedSessionMatchesTheGoldenTranscript) {
-  auto slurp = [](const std::string& path) {
-    std::ifstream f(path, std::ios::binary);
-    EXPECT_TRUE(f.good()) << path;
-    return std::string(std::istreambuf_iterator<char>(f), {});
-  };
   std::istringstream script(slurp(CONFIG_MENU_DIR "/script.txt"));
   std::ostringstream out;
   ConfigMenu menu;
@@ -792,74 +809,73 @@ TEST(Menu, ScriptedSessionMatchesTheGoldenTranscript) {
   EXPECT_EQ(out.str(), slurp(CONFIG_MENU_DIR "/expected.txt"));
 }
 
+int pick(std::mt19937_64& rng, int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); }
+
 // A token for `f` drawn from its range (clamped to a span every field type
-// holds), in the field's own grammar.
+// holds), in the grammar of the member's type `V`.
+template <class V>
 std::string random_token(const Field& f, std::mt19937_64& rng) {
-  auto pick = [&rng](std::size_t n) {
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
-  };
   const std::string letters = "abcdefghijklmnopqrstuvwxyz0123456789._";
   auto word = [&] {
     std::string w;
-    for (std::size_t n = 1 + pick(8); n > 0; --n) w += letters[pick(letters.size())];
+    for (int n = 1 + pick(rng, 8); n > 0; --n) w += letters[pick(rng, int(letters.size()))];
     return w;
   };
-  const double lo = std::max(f.range.lo, f.kind == Kind::natural ? 0.0 : -1e9);
+  const double lo = std::max(f.range.lo, std::is_unsigned_v<V> ? 0.0 : -1e9);
   const double hi = std::min(f.range.hi, 1e9);
-  switch (f.kind) {
-    case Kind::flag: return pick(2) == 0 ? "0" : "1";
-    case Kind::word: return word();
-    case Kind::text: return word() + std::string(pick(3), ' ') + " " + word() + " ";
-    case Kind::real: {
-      char buf[32];
-      const double v = std::uniform_real_distribution<double>(lo, hi)(rng);
-      return {buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr};
+  if constexpr (std::is_same_v<V, bool>) {
+    return pick(rng, 2) == 0 ? "0" : "1";
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    return f.text ? word() + std::string(pick(rng, 3), ' ') + " " + word() + " " : word();
+  } else if constexpr (std::is_same_v<V, flex::Topology>) {
+    return flex::topology_name(static_cast<flex::Topology>(pick(rng, 3)));
+  } else if constexpr (std::is_floating_point_v<V>) {
+    char buf[32];
+    const double v = std::uniform_real_distribution<double>(lo, hi)(rng);
+    return {buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr};
+  } else {
+    if (std::is_unsigned_v<V> && std::isinf(f.range.lo) && std::isinf(f.range.hi)) {
+      return std::to_string(rng());
     }
-    case Kind::natural:
-      if (std::isinf(f.range.lo) && std::isinf(f.range.hi)) return std::to_string(rng());
-      [[fallthrough]];
-    case Kind::integer:
-      return std::to_string(std::uniform_int_distribution<std::int64_t>(
-          static_cast<std::int64_t>(std::ceil(lo)), static_cast<std::int64_t>(hi))(rng));
+    return std::to_string(std::uniform_int_distribution<std::int64_t>(
+        static_cast<std::int64_t>(std::ceil(lo)), static_cast<std::int64_t>(hi))(rng));
   }
-  return {};
 }
 
-// A configuration whose table options hold random in-range values (a
-// record is redrawn until its checks pass), plus random clusters, topology
-// and trace flags.
+// A value for a field: a scalar through its token grammar, a cluster
+// drawn directly.
+void draw(const Field&, ClusterConfig& c, std::mt19937_64& rng) {
+  c = {pick(rng, 10), 3 + pick(rng, 10), {}, 1 + pick(rng, 8), pick(rng, 2) == 0,
+       static_cast<PlacePolicy>(pick(rng, 3))};
+  for (int s = pick(rng, 4); s > 0; --s) c.secondary_pes.push_back(7 + pick(rng, 14));
+}
+
+template <class V>
+void draw(const Field& f, V& v, std::mt19937_64& rng) {
+  std::istringstream token(random_token<V>(f, rng));
+  EXPECT_TRUE(read_field(token, f, v)) << f.name << ": " << token.str();
+}
+
+// A configuration whose options hold random in-range values: each option
+// gets up to three list elements or a coin-flip draw of its record, and a
+// record is redrawn until its checks pass.
 Configuration random_configuration(std::mt19937_64& rng) {
-  auto pick = [&rng](int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); };
   Configuration cfg;
   cfg.clusters.clear();
-  for (int c = 0, n = 1 + pick(3); c < n; ++c) {
-    ClusterConfig cl{c + 1, 3 + c, {}, 1 + pick(8), c == 0, static_cast<PlacePolicy>(pick(3))};
-    for (int s = pick(4); s > 0; --s) cl.secondary_pes.push_back(7 + pick(14));
-    cfg.clusters.push_back(cl);
-  }
-  if (pick(2) == 0) {
-    cfg.topology = {static_cast<flex::Topology>(pick(3)), 1 + pick(32), pick(9), pick(9), pick(9)};
-  }
-  for (auto& on : cfg.trace.kind_on) on = pick(2) == 0;
-  const Configuration fresh;
-  for (const Option& o : options()) {
-    if (o.records.count == nullptr) continue;
-    const bool list = o.records.count(fresh) == 0;
-    for (int n = list ? pick(4) : pick(2); n > 0; --n) {
-      void* rec = o.records.edit(cfg);
+  each_option(cfg, [&](const Option& o, auto& recs, auto fields) {
+    const bool list = List<std::remove_cvref_t<decltype(recs)>>;
+    for (int n = list ? pick(rng, 4) : pick(rng, 2); n > 0; --n) {
+      auto& rec = edit_record(recs);
       Problems problems{"draw"};
       for (int attempt = 0; !problems.empty() && attempt < 1000; ++attempt) {
-        for (const Field& f : o.fields) {
-          std::istringstream token(random_token(f, rng));
-          EXPECT_TRUE(f.read(rec, token)) << o.key << " " << f.name << ": " << token.str();
-        }
+        fields(rec, [&rng](const Field& f, auto& v) { draw(f, v, rng); });
         problems.clear();
-        check_record(o, rec, problems);
+        check_record(cfg, o, rec, fields, problems);
       }
       EXPECT_TRUE(problems.empty()) << o.key;
-      if (o.enabled.set != nullptr) o.enabled.set(rec, pick(2) == 0);
+      if constexpr (Switched<std::remove_cvref_t<decltype(rec)>>) rec.enabled = pick(rng, 2) == 0;
     }
-  }
+  });
   return cfg;
 }
 
@@ -873,6 +889,89 @@ TEST(Persistence, RandomTableConfigurationsRoundTripByteExactly) {
     std::stringstream again;
     Configuration::load(first).save(again);
     ASSERT_EQ(again.str(), saved) << "configuration " << i;
+  }
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// One seeded mutation at line `i`: flip a bit of one byte, drop a token,
+// duplicate the line, or swap it with another.
+void mutate(std::vector<std::string>& lines, std::size_t i, std::mt19937_64& rng) {
+  std::string& line = lines[i];
+  switch (pick(rng, 4)) {
+    case 0:
+      if (!line.empty()) line[pick(rng, int(line.size()))] ^= char(1 << pick(rng, 8));
+      break;
+    case 1: {
+      std::istringstream in(line);
+      std::vector<std::string> tokens(std::istream_iterator<std::string>(in), {});
+      if (tokens.empty()) break;
+      tokens.erase(tokens.begin() + pick(rng, int(tokens.size())));
+      line.clear();
+      for (const auto& t : tokens) line += (line.empty() ? "" : " ") + t;
+      break;
+    }
+    case 2: {
+      const std::string copy = line;
+      lines.insert(lines.begin() + std::ptrdiff_t(i), copy);
+      break;
+    }
+    default:
+      std::swap(line, lines[pick(rng, int(lines.size()))]);
+  }
+}
+
+// Mutated saved files either load or throw std::runtime_error, and one
+// save/load pass reaches a fixpoint. Mutated menu commands never throw,
+// and after each one the menu's configuration saves to a file that loads.
+TEST(Persistence, MutatedFilesAndMenuCommandsStayWellFormed) {
+  std::mt19937_64 rng(20261019);
+  const auto script = lines_of(slurp(CONFIG_MENU_DIR "/script.txt"));
+  std::ostringstream section9;
+  std::ostringstream golden;
+  Configuration::section9_example().save(section9);
+  std::istringstream session(slurp(CONFIG_MENU_DIR "/script.txt"));
+  std::ostringstream transcript;
+  ConfigMenu().repl(session, transcript).save(golden);
+  const std::vector<std::string> files[] = {lines_of(section9.str()), lines_of(golden.str())};
+  int loaded = 0;
+  for (int i = 0; i < 2500; ++i) {
+    auto lines = files[i % 2];
+    for (int n = 1 + pick(rng, 3); n > 0; --n) mutate(lines, pick(rng, int(lines.size())), rng);
+    std::string text;
+    for (const auto& line : lines) text += line + "\n";
+    std::istringstream in(text);
+    Configuration cfg;
+    try {
+      cfg = Configuration::load(in);
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    ++loaded;
+    std::stringstream once;
+    cfg.save(once);
+    const std::string first = once.str();
+    std::ostringstream twice;
+    ASSERT_NO_THROW(Configuration::load(once).save(twice)) << text;
+    ASSERT_EQ(twice.str(), first) << text;
+  }
+  EXPECT_GT(loaded, 100);
+  for (int steps = 0; steps < 2500;) {
+    auto commands = script;
+    ConfigMenu menu;
+    for (std::size_t i = 0; i < commands.size() && steps < 2500; ++i, ++steps) {
+      mutate(commands, i, rng);
+      std::ostringstream out;
+      ASSERT_NO_THROW(menu.apply(commands[i], out)) << commands[i];
+      std::stringstream saved;
+      menu.current().save(saved);
+      ASSERT_NO_THROW((void)Configuration::load(saved)) << commands[i] << "\n" << saved.str();
+    }
   }
 }
 

@@ -1,10 +1,8 @@
-// Tests of message argument values: typing, Fortran-style widening, byte
-// serialization round trips, and size accounting (messages are charged real
-// bytes in the shared heap).
+// Tests of message argument values: typing, Fortran-style widening and size
+// accounting (messages are charged real bytes in the shared heap).
 #include "core/value.hpp"
 
 #include "core/message.hpp"
-#include "sim/random.hpp"
 
 #include <gtest/gtest.h>
 
@@ -23,55 +21,23 @@ TEST(Value, TypedAccessorsAndWidening) {
   EXPECT_THROW((void)Value(id).as_window(), std::runtime_error);
 }
 
-TEST(Value, RoundTripsEveryKind) {
-  Window w;
-  w.owner = TaskId{3, 5, 1234567890123ull};
-  w.array = 42;
-  w.rect = Rect{1, 2, 3, 4};
-  w.array_rows = 50;
-  w.array_cols = 60;
-  std::vector<Value> args = {
-      Value(std::int64_t{-5}),
-      Value(3.25),
-      Value(true),
-      Value(false),
-      Value(std::string("hello world")),
-      Value(TaskId{1, 3, 42}),
-      Value(w),
-      Value(std::vector<double>{1.5, -2.5, 3.5}),
-      Value(std::vector<std::int64_t>{10, -20, 30}),
-      Value::list({Value(1), Value("nested"), Value::list({Value(2.0)})}),
-  };
-  auto bytes = encode_args(args);
-  auto back = decode_args(bytes);
-  ASSERT_EQ(back.size(), args.size());
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    EXPECT_TRUE(back[i] == args[i]) << "arg " << i;
-  }
-}
-
+// The encoded size of each kind, pinned: a tag byte, then the payload;
+// strings and arrays add a 4-byte length and a list a 4-byte count.
 TEST(Value, EncodedSizeMatchesEncodedBytes) {
-  std::vector<Value> args = {
-      Value(1), Value(2.0), Value("abcdef"), Value(TaskId{1, 2, 3}),
-      Value(std::vector<double>(17, 0.0)),
-      Value::list({Value(1), Value(2)}),
-  };
-  EXPECT_EQ(encode_args(args).size(), encoded_args_size(args));
-  for (const auto& v : args) {
-    std::vector<std::byte> one;
-    v.encode(one);
-    EXPECT_EQ(one.size(), v.encoded_size());
-  }
-}
-
-TEST(Value, DecodeRejectsTruncatedAndTrailing) {
-  auto bytes = encode_args({Value(1), Value("xy")});
-  auto truncated = bytes;
-  truncated.resize(truncated.size() - 1);
-  EXPECT_THROW(decode_args(truncated), std::runtime_error);
-  auto trailing = bytes;
-  trailing.push_back(std::byte{0});
-  EXPECT_THROW(decode_args(trailing), std::runtime_error);
+  EXPECT_EQ(Value(1).encoded_size(), 9u);
+  EXPECT_EQ(Value(2.0).encoded_size(), 9u);
+  EXPECT_EQ(Value(true).encoded_size(), 2u);
+  EXPECT_EQ(Value("").encoded_size(), 5u);
+  EXPECT_EQ(Value("abcdef").encoded_size(), 5u + 6);
+  EXPECT_EQ(Value(TaskId{1, 2, 3}).encoded_size(), 17u);
+  EXPECT_EQ(Value(Window{}).encoded_size(), 45u);
+  EXPECT_EQ(Value(std::vector<double>(17, 0.0)).encoded_size(), 5u + 8 * 17);
+  EXPECT_EQ(Value(std::vector<std::int64_t>(3, 0)).encoded_size(), 5u + 8 * 3);
+  EXPECT_EQ(Value::list({}).encoded_size(), 5u);
+  EXPECT_EQ(Value::list({Value(1), Value("ab"), Value::list({Value(2.0)})}).encoded_size(),
+            5u + 9 + 7 + (5 + 9));
+  EXPECT_EQ(encoded_args_size({}), 4u);
+  EXPECT_EQ(encoded_args_size({Value(1), Value("abcdef"), Value(TaskId{})}), 4u + 9 + 11 + 17);
 }
 
 TEST(Value, StrRendersReadably) {
@@ -88,77 +54,6 @@ TEST(Value, ListEqualityIsDeep) {
   EXPECT_FALSE(Value::list({Value(1)}) == Value::list({Value(2)}));
   EXPECT_FALSE(Value(1) == Value(1.0));
 }
-
-// Property: randomly generated argument lists of every kind round-trip
-// through the packet encoding byte-exactly, and encoded_args_size always
-// matches the produced byte count.
-class ValueFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ValueFuzzTest, RandomArgListsRoundTrip) {
-  sim::Rng rng(GetParam());
-  auto random_value = [&rng](auto&& self, int depth) -> Value {
-    switch (rng.below(depth > 0 ? 9 : 8)) {
-      case 0: return Value(static_cast<std::int64_t>(rng.next()));
-      case 1: return Value(static_cast<double>(rng.range(-1000, 1000)) / 7.0);
-      case 2: return Value(rng.below(2) == 0);
-      case 3: {
-        std::string s;
-        for (std::uint64_t i = 0; i < rng.below(40); ++i) {
-          s.push_back(static_cast<char>('a' + rng.below(26)));
-        }
-        return Value(std::move(s));
-      }
-      case 4:
-        return Value(TaskId{static_cast<int>(rng.below(18)) + 1,
-                            static_cast<int>(rng.below(8)), rng.next() | 1});
-      case 5: {
-        Window w;
-        w.owner = TaskId{1, 2, rng.next() | 1};
-        w.array = static_cast<std::uint32_t>(rng.below(100));
-        w.rect = Rect{static_cast<int>(rng.below(50)),
-                      static_cast<int>(rng.below(50)),
-                      static_cast<int>(rng.below(20)) + 1,
-                      static_cast<int>(rng.below(20)) + 1};
-        w.array_rows = 100;
-        w.array_cols = 100;
-        return Value(w);
-      }
-      case 6: {
-        std::vector<double> xs(rng.below(60));
-        for (auto& x : xs) x = rng.unit();
-        return Value(std::move(xs));
-      }
-      case 7: {
-        std::vector<std::int64_t> xs(rng.below(60));
-        for (auto& x : xs) x = static_cast<std::int64_t>(rng.next());
-        return Value(std::move(xs));
-      }
-      default: {
-        ValueList items;
-        for (std::uint64_t i = 0; i < rng.below(5); ++i) {
-          items.push_back(self(self, depth - 1));
-        }
-        return Value::list(std::move(items));
-      }
-    }
-  };
-  for (int round = 0; round < 50; ++round) {
-    std::vector<Value> args;
-    for (std::uint64_t i = 0; i < rng.below(8); ++i) {
-      args.push_back(random_value(random_value, 2));
-    }
-    auto bytes = encode_args(args);
-    EXPECT_EQ(bytes.size(), encoded_args_size(args));
-    auto back = decode_args(bytes);
-    ASSERT_EQ(back.size(), args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      EXPECT_TRUE(back[i] == args[i]) << "round " << round << " arg " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ValueFuzzTest,
-                         ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u));
 
 TEST(Message, EncodedSizeIncludesHeaderAndArgs) {
   Message m;
