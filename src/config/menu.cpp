@@ -118,9 +118,10 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
       {"slots", "<cluster> <count>"}};
   std::string extra;
   if (const auto v = kClusterVerbs.find(cmd); v != kClusterVerbs.end()) {
-    // A new cluster number adds a cluster whose primary is the first MMOS
-    // PE plus the cluster count. The value is read as on a saved cluster
-    // line; `terminal` also takes the terminal from every other cluster.
+    // A new cluster number adds a cluster whose primary is the lowest MMOS
+    // PE that no cluster has as its primary yet. The value is read as on a
+    // saved cluster line; `terminal` also takes the terminal from every
+    // other cluster.
     Configuration next = cfg_;
     auto& all = next.clusters;
     int n = 0;
@@ -130,7 +131,9 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
     std::istringstream vs(value);
     auto c = std::ranges::find(all, n, &ClusterConfig::number);
     if (c == all.end()) {
-      c = all.insert(c, {.number = n, .primary_pe = spec_.first_mmos_pe() + int(all.size())});
+      int pe = spec_.first_mmos_pe();
+      while (std::ranges::find(all, pe, &ClusterConfig::primary_pe) != all.end()) ++pe;
+      c = all.insert(c, {.number = n, .primary_pe = pe});
     }
     const bool set = cmd == "cluster" || cmd == "terminal" || read_cluster_setting(*c, cmd, vs);
     if (numbered && n < 0) {

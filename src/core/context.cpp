@@ -23,7 +23,6 @@ void TaskContext::initiate(Where where, std::string tasktype,
                            std::vector<Value> args) {
   const int target = rt_->resolve_where(where, cluster());
   proc_->compute(rt_->costs().initiate_overhead);
-  ++rt_->stats_.initiates_requested;
   rt_->post(self(), proc_, rt_->cluster(target).controller_id(), "_INITIATE",
             {Value(std::move(tasktype)), Value::list(std::move(args))});
 }
@@ -46,9 +45,7 @@ bool TaskContext::send(Dest dest, std::string type, std::vector<Value> args) {
   proc_->compute(rt_->costs().msg_send_overhead);
   const TaskId to = resolve(dest);
   if (!to.valid()) {
-    ++rt_->stats_.dead_letters;
-    rt_->trace_event(trace::EventKind::dead_letter, to, self(), proc_->pe(), 0,
-                     type);
+    rt_->dead_letter(to, self(), proc_->pe(), 0, type);
     return false;
   }
   return rt_->post(self(), proc_, to, std::move(type), std::move(args));
@@ -79,12 +76,8 @@ int TaskContext::broadcast(std::string type, std::vector<Value> args,
   // events from the PE the copy reached, so the root pays O(k) sends and
   // completion takes O(log_k n) relay hops instead of n serialized sends.
   const int k = rt_->cfg_.collective_fanout < 2 ? 2 : rt_->cfg_.collective_fanout;
-  int depth = 0;
-  for (std::uint64_t covered = 0, width = static_cast<std::uint64_t>(k);
-       covered < static_cast<std::uint64_t>(n); width *= static_cast<std::uint64_t>(k)) {
-    covered += width;
-    ++depth;
-  }
+  const int depth = ForceContext::tree_depth(static_cast<std::size_t>(n) + 1,
+                                             static_cast<std::size_t>(k));
   proc_->compute(rt_->costs().msg_send_overhead);
   rt_->trace_event(trace::EventKind::collective, self(), {}, proc_->pe(), 0,
                    "bcast targets=" + std::to_string(n) + " k=" +
@@ -117,14 +110,18 @@ void TaskContext::on_message(std::string type, Handler handler) {
   handlers_[std::move(type)] = std::move(handler);
 }
 
-void TaskContext::consume(Message msg, AcceptResult& res) {
+void TaskContext::record_accept(const Message& msg) {
   proc_->compute(rt_->costs().msg_accept_overhead + rt_->costs().heap_free);
   rt_->heap_release(msg.heap_offset);
   sender_ = msg.sender;
   ++rt_->stats_.messages_accepted;
-  ++res.accepted[msg.type];
   rt_->trace_event(trace::EventKind::msg_accept, self(), msg.sender, proc_->pe(),
                    msg.seq, msg.type);
+}
+
+void TaskContext::consume(Message msg, AcceptResult& res) {
+  record_accept(msg);
+  ++res.accepted[msg.type];
   auto it = handlers_.find(msg.type);
   if (it != handlers_.end()) it->second(*this, msg);
 }
@@ -222,30 +219,8 @@ AcceptResult TaskContext::accept(AcceptSpec spec) {
 Message TaskContext::wait_any_message() {
   while (rec_->in_queue.empty()) proc_->block();
   Message m = rec_->in_queue.pop_front();
-  proc_->compute(rt_->costs().msg_accept_overhead + rt_->costs().heap_free);
-  rt_->heap_release(m.heap_offset);
-  sender_ = m.sender;
-  ++rt_->stats_.messages_accepted;
-  rt_->trace_event(trace::EventKind::msg_accept, self(), m.sender, proc_->pe(),
-                   m.seq, m.type);
+  record_accept(m);
   return m;
-}
-
-Message TaskContext::wait_reply(std::uint64_t request_id) {
-  while (true) {
-    auto& q = rec_->replies;
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      if (!it->args.empty() && it->args[0].is_int() &&
-          it->args[0].as_int() == static_cast<std::int64_t>(request_id)) {
-        Message m = std::move(*it);
-        q.erase(it);
-        proc_->compute(rt_->costs().msg_accept_overhead + rt_->costs().heap_free);
-        rt_->heap_release(m.heap_offset);
-        return m;
-      }
-    }
-    proc_->block();
-  }
 }
 
 std::optional<Message> TaskContext::wait_reply_for(std::uint64_t request_id,
@@ -266,28 +241,31 @@ std::optional<Message> TaskContext::wait_reply_for(std::uint64_t request_id,
   }
 }
 
-Message TaskContext::window_transact(
-    const TaskId& service, const std::string& op,
-    const std::function<std::vector<Value>(std::int64_t)>& make_args,
-    const std::string& what) {
-  // A fresh request id per attempt: a late reply to an abandoned attempt
-  // must never satisfy a newer one. Abandoned replies sit in the replies
-  // queue until task end, where finish_task releases their storage.
+Message TaskContext::window_transact(const TaskId& service, const char* op,
+                                     std::vector<Value> args,
+                                     const std::string& what) {
+  // A fresh request id (args[0]) per attempt: a late reply to an abandoned
+  // attempt must never satisfy a newer one. Abandoned replies sit in the
+  // replies queue until task end, where finish_task releases their storage.
+  // Every attempt but the last posts a copy of the request.
   const int attempts =
       rt_->faults_ != nullptr ? Runtime::kWindowRequestAttempts : 1;
   sim::Tick patience = rt_->cfg_.accept_default_timeout;
-  for (int a = 0; a < attempts; ++a, patience *= 2) {
+  for (int a = 1; a <= attempts; ++a, patience *= 2) {
+    if (a > 1) ++rt_->stats_.window_retries;
     const std::uint64_t rid = ++rt_->next_request_id_;
+    args[0] = Value(static_cast<std::int64_t>(rid));
     proc_->compute(rt_->costs().msg_send_overhead);
     if (!rt_->post(self(), proc_, service, op,
-                   make_args(static_cast<std::int64_t>(rid)))) {
+                   a == attempts ? std::move(args) : args)) {
       throw WindowError("window service unreachable for " + what);
     }
-    if (attempts == 1) return wait_reply(rid);
-    if (auto rep = wait_reply_for(rid, rt_->engine().now() + patience)) {
+    const sim::Tick deadline =
+        attempts == 1 ? sim::kForever : rt_->engine().now() + patience;
+    if (auto rep = wait_reply_for(rid, deadline)) {
+      if (rep->type == "_WINERR") throw WindowError(rep->args.at(1).as_str());
       return std::move(*rep);
     }
-    ++rt_->stats_.window_retries;
   }
   throw WindowError("no reply from window service for " + what + " after " +
                     std::to_string(attempts) + " attempts");
@@ -346,24 +324,6 @@ void TaskContext::forcesplit(const std::function<void(ForceContext&)>& region) {
   rec_->force_members.clear();
 }
 
-SharedBlock& TaskContext::shared_common(const std::string& name,
-                                        std::size_t words) {
-  auto& slot = rec_->shared_blocks[name];
-  if (!slot) slot = std::make_unique<SharedBlock>(*rt_, name, words);
-  if (slot->words() != words) {
-    throw std::logic_error("SHARED COMMON /" + name + "/ redeclared with size " +
-                           std::to_string(words) + " (was " +
-                           std::to_string(slot->words()) + ")");
-  }
-  return *slot;
-}
-
-LockVar& TaskContext::lock_var(const std::string& name) {
-  auto& slot = rec_->locks[name];
-  if (!slot) slot = std::make_unique<LockVar>(*rt_, name);
-  return *slot;
-}
-
 // ---- windows ----
 
 LocalArray& TaskContext::local_array(const std::string& name, int rows, int cols) {
@@ -414,35 +374,30 @@ Window TaskContext::file_window(int cluster_number, const std::string& file_arra
     throw WindowError("cluster " + std::to_string(cluster_number) +
                       " has no file controller");
   }
-  Message rep = window_transact(
-      fc, "_FWIN",
-      [&file_array](std::int64_t rid) {
-        return std::vector<Value>{Value(rid), Value(file_array)};
-      },
-      "file array '" + file_array + "'");
-  if (rep.type == "_WINERR") throw WindowError(rep.args.at(1).as_str());
+  const Message rep = window_transact(fc, "_FWIN", {Value(), Value(file_array)},
+                                      "file array '" + file_array + "'");
   return rep.args.at(1).as_window();
+}
+
+Matrix* TaskContext::own_window_array(const Window& w) {
+  if (w.owner != self()) return nullptr;
+  auto it = rec_->arrays.find(w.array);
+  if (it == rec_->arrays.end()) throw WindowError("window names a dropped array");
+  proc_->compute(static_cast<sim::Tick>(w.elements()) *
+                 rt_->costs().local_access * 2);
+  return &it->second.data;
+}
+
+TaskId TaskContext::window_service(const Window& w) const {
+  return w.is_file_window() ? w.owner
+                            : rt_->cluster(w.owner.cluster).controller_id();
 }
 
 Matrix TaskContext::window_read(const Window& w) {
   if (!w.valid()) throw WindowError("reading through an invalid window");
-  if (w.owner == self()) {
-    auto it = rec_->arrays.find(w.array);
-    if (it == rec_->arrays.end()) throw WindowError("window names a dropped array");
-    proc_->compute(static_cast<sim::Tick>(w.elements()) *
-                   rt_->costs().local_access * 2);
-    return fsim::copy_rect(it->second.data, w.rect);
-  }
-  const TaskId service = w.is_file_window()
-                             ? w.owner
-                             : rt_->cluster(w.owner.cluster).controller_id();
-  Message rep = window_transact(
-      service, "_WINREAD",
-      [&w](std::int64_t rid) {
-        return std::vector<Value>{Value(rid), Value(w)};
-      },
-      w.owner.str());
-  if (rep.type == "_WINERR") throw WindowError(rep.args.at(1).as_str());
+  if (const Matrix* own = own_window_array(w)) return fsim::copy_rect(*own, w.rect);
+  Message rep = window_transact(window_service(w), "_WINREAD",
+                                {Value(), Value(w)}, w.owner.str());
   Matrix out(w.rect.rows, w.rect.cols);
   const auto& data = rep.args.at(1).as_real_array();
   if (data.size() != out.size()) throw WindowError("window read size mismatch");
@@ -455,25 +410,14 @@ void TaskContext::window_write(const Window& w, const Matrix& data) {
   if (data.rows() != w.rect.rows || data.cols() != w.rect.cols) {
     throw WindowError("window write: data shape does not match the window");
   }
-  if (w.owner == self()) {
-    auto it = rec_->arrays.find(w.array);
-    if (it == rec_->arrays.end()) throw WindowError("window names a dropped array");
-    proc_->compute(static_cast<sim::Tick>(w.elements()) *
-                   rt_->costs().local_access * 2);
-    fsim::paste_rect(it->second.data, w.rect, data);
+  if (Matrix* own = own_window_array(w)) {
+    fsim::paste_rect(*own, w.rect, data);
     return;
   }
-  const TaskId service = w.is_file_window()
-                             ? w.owner
-                             : rt_->cluster(w.owner.cluster).controller_id();
-  Message rep = window_transact(
-      service, "_WINWRITE",
-      [&w, &data](std::int64_t rid) {
-        return std::vector<Value>{Value(rid), Value(w),
-                                  Value(std::vector<double>(data.data()))};
-      },
+  (void)window_transact(
+      window_service(w), "_WINWRITE",
+      {Value(), Value(w), Value(std::vector<double>(data.data()))},
       w.owner.str());
-  if (rep.type == "_WINERR") throw WindowError(rep.args.at(1).as_str());
 }
 
 }  // namespace pisces::rt

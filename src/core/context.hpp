@@ -88,8 +88,12 @@ class TaskContext {
   /// end barrier + join). With no secondary PEs the region simply runs
   /// inline ("no parallel splitting", Section 9).
   void forcesplit(const std::function<void(ForceContext&)>& region);
-  SharedBlock& shared_common(const std::string& name, std::size_t words);
-  LockVar& lock_var(const std::string& name);
+  SharedBlock& shared_common(const std::string& name, std::size_t words) {
+    return ForceContext::declare_common(*rt_, *rec_, name, words);
+  }
+  LockVar& lock_var(const std::string& name) {
+    return ForceContext::declare_lock(*rt_, *rec_, name);
+  }
 
   // ---- windows ----
   /// Register (or look up) a task-local 2-D array other tasks may window.
@@ -123,20 +127,25 @@ class TaskContext {
  private:
   friend class Runtime;
 
+  /// Charge, free, count and trace an accepted message; remember its sender.
+  void record_accept(const Message& msg);
   /// Process one matched message (handler or signal); updates result.
   void consume(Message msg, AcceptResult& res);
-  Message wait_reply(std::uint64_t request_id);
-  /// As wait_reply, but gives up at `deadline` (nullopt on timeout).
+  /// Wait for the system reply carrying `request_id`, giving up at
+  /// `deadline` (nullopt on timeout; sim::kForever never times out).
   std::optional<Message> wait_reply_for(std::uint64_t request_id,
                                         sim::Tick deadline);
-  /// Send one window-service request and wait for its reply. Fault-free
-  /// runs send once and wait forever (the service always answers); under
-  /// fault injection the request is retried with a doubling patience
-  /// window, then fails with a typed WindowError.
-  Message window_transact(
-      const TaskId& service, const std::string& op,
-      const std::function<std::vector<Value>(std::int64_t)>& make_args,
-      const std::string& what);
+  /// Send one window-service request and wait for its reply; `args[0]` is
+  /// overwritten with the request id. Fault-free runs send once and wait
+  /// forever (the service always answers); under fault injection the
+  /// request is retried with a doubling patience window, then fails with a
+  /// typed WindowError. A _WINERR reply throws its reason as a WindowError.
+  Message window_transact(const TaskId& service, const char* op,
+                          std::vector<Value> args, const std::string& what);
+  /// This task's own array behind `w`, charged as a local copy, or null.
+  Matrix* own_window_array(const Window& w);
+  /// The owner's task controller, or the file controller of a file window.
+  [[nodiscard]] TaskId window_service(const Window& w) const;
   [[nodiscard]] TaskId resolve(const Dest& dest) const;
 
   Runtime* rt_;

@@ -108,6 +108,15 @@ ForceState::SelfschedLoop& ForceState::loop(std::size_t occurrence,
 
 // ---- ForceContext ----
 
+int ForceContext::tree_depth(std::size_t nodes, std::size_t k) {
+  int depth = 0;
+  for (std::size_t covered = 1, width = k; covered < nodes; width *= k) {
+    covered += width;
+    ++depth;
+  }
+  return depth;
+}
+
 std::int64_t ForceContext::iteration_count(std::int64_t lo, std::int64_t hi,
                                            std::int64_t step) {
   if (step == 0) throw std::invalid_argument("DO loop step of zero");
@@ -157,18 +166,11 @@ double ForceContext::collective_sync(
     if (contribute != nullptr) st_->reduce_result = st_->partial[0];
     if (body) body(*this);
     if (n > 1) {
-      int depth = 0;
-      for (std::uint64_t covered = 1, width = static_cast<std::uint64_t>(k);
-           covered < static_cast<std::uint64_t>(n);
-           width *= static_cast<std::uint64_t>(k)) {
-        covered += width;
-        ++depth;
-      }
       rt_->trace_event(
           trace::EventKind::collective, rec_->id, {}, proc_->pe(), 0,
           std::string(contribute != nullptr ? "reduce" : "barrier") +
               " members=" + std::to_string(n) + " k=" + std::to_string(k) +
-              " depth=" + std::to_string(depth));
+              " depth=" + std::to_string(tree_depth(n, k)));
     }
     // Reset arrival counters BEFORE publishing the new generation: a member
     // released below may re-enter the next collective immediately, and its
@@ -270,10 +272,11 @@ void ForceContext::parseg(const std::vector<std::function<void()>>& segments) {
   }
 }
 
-SharedBlock& ForceContext::shared_common(const std::string& name,
-                                         std::size_t words) {
-  auto& slot = rec_->shared_blocks[name];
-  if (!slot) slot = std::make_unique<SharedBlock>(*rt_, name, words);
+SharedBlock& ForceContext::declare_common(Runtime& rt, TaskRecord& rec,
+                                          const std::string& name,
+                                          std::size_t words) {
+  auto& slot = rec.shared_blocks[name];
+  if (!slot) slot = std::make_unique<SharedBlock>(rt, name, words);
   if (slot->words() != words) {
     throw std::logic_error("SHARED COMMON /" + name + "/ redeclared with size " +
                            std::to_string(words) + " (was " +
@@ -282,9 +285,10 @@ SharedBlock& ForceContext::shared_common(const std::string& name,
   return *slot;
 }
 
-LockVar& ForceContext::lock_var(const std::string& name) {
-  auto& slot = rec_->locks[name];
-  if (!slot) slot = std::make_unique<LockVar>(*rt_, name);
+LockVar& ForceContext::declare_lock(Runtime& rt, TaskRecord& rec,
+                                    const std::string& name) {
+  auto& slot = rec.locks[name];
+  if (!slot) slot = std::make_unique<LockVar>(rt, name);
   return *slot;
 }
 

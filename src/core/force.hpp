@@ -168,14 +168,23 @@ class ForceContext {
 
   /// SHARED COMMON and LOCK declarations (delegate to the task's registry,
   /// so any member — or the task before splitting — may declare them).
-  SharedBlock& shared_common(const std::string& name, std::size_t words);
-  LockVar& lock_var(const std::string& name);
+  SharedBlock& shared_common(const std::string& name, std::size_t words) {
+    return declare_common(*rt_, *rec_, name, words);
+  }
+  LockVar& lock_var(const std::string& name) { return declare_lock(*rt_, *rec_, name); }
 
  private:
   friend class TaskContext;
 
   static std::int64_t iteration_count(std::int64_t lo, std::int64_t hi,
                                       std::int64_t step);
+  /// Levels below the root of a k-ary tree of `nodes` nodes.
+  static int tree_depth(std::size_t nodes, std::size_t k);
+  /// The task's SHARED COMMON and LOCK registries, for both contexts.
+  static SharedBlock& declare_common(Runtime& rt, TaskRecord& rec,
+                                     const std::string& name, std::size_t words);
+  static LockVar& declare_lock(Runtime& rt, TaskRecord& rec,
+                               const std::string& name);
 
   /// One collective episode over the member tree: gather arrivals (and,
   /// when `contribute` is non-null, partial values) up to the root, run

@@ -16,10 +16,6 @@ constexpr std::size_t kPerPeDataBytes = 2048;
 constexpr std::size_t kCommonAreaBytes = 256 * 1024;
 }  // namespace
 
-int Cluster::free_user_slots() const {
-  return static_cast<int>(free_slots.size());
-}
-
 const char* kill_result_name(KillResult r) {
   switch (r) {
     case KillResult::killed: return "killed";
@@ -232,22 +228,12 @@ void Runtime::on_pe_halt(int pe) {
       cl->dead = true;
       const TaskId dead_ctl = cl->controller_id();
       for (auto& req : cl->pending) {
-        const int target = migrate_work_ ? pick_survivor(cl->cfg.number) : -1;
-        if (target >= 0) {
-          trace_event(trace::EventKind::supervision, dead_ctl, req.parent, pe,
-                      0, "migrate-initiate " + req.tasktype + " cluster=" +
-                             std::to_string(target));
-          if (post(req.parent, nullptr, by_number_[target]->controller_id(),
-                   "_INITIATE",
-                   {Value(req.tasktype), Value::list(std::move(req.args)),
-                    Value(static_cast<std::int64_t>(req.tag))})) {
-            ++stats_.initiates_migrated;
-          }
-          // A false post already dead-lettered itself (heap denial).
-        } else {
-          ++stats_.dead_letters;
-          trace_event(trace::EventKind::dead_letter, dead_ctl, req.parent, pe,
-                      0, "_INITIATE " + req.tasktype);
+        if (!migrate_initiate(dead_ctl, req.parent, pe, 0,
+                              "migrate-initiate " + req.tasktype,
+                              {Value(req.tasktype), Value::list(std::move(req.args)),
+                               Value(static_cast<std::int64_t>(req.tag))},
+                              stats_.initiates_migrated)) {
+          dead_letter(dead_ctl, req.parent, pe, 0, "_INITIATE " + req.tasktype);
         }
       }
       cl->pending.clear();
@@ -290,29 +276,17 @@ void Runtime::reclaim_controllers(Cluster& cl, int pe) {
     auto& rec = cl.slot(s);
     if (rec.state == TaskState::free_slot) continue;
     for (const Message& m : rec.in_queue) {
-      const int target = (migrate_work_ && m.type == "_INITIATE")
-                             ? pick_survivor(cl.cfg.number)
-                             : -1;
-      if (target >= 0) {
-        trace_event(trace::EventKind::supervision, rec.id, m.sender, pe, m.seq,
-                    "migrate-message _INITIATE cluster=" +
-                        std::to_string(target));
-        if (post(m.sender, nullptr, by_number_[target]->controller_id(),
-                 "_INITIATE", m.args)) {
-          ++stats_.messages_migrated;
-        }
-      } else {
-        ++stats_.dead_letters;
-        trace_event(trace::EventKind::dead_letter, rec.id, m.sender, pe, m.seq,
-                    m.type);
+      if (m.type != "_INITIATE" ||
+          !migrate_initiate(rec.id, m.sender, pe, m.seq,
+                            "migrate-message _INITIATE", m.args,
+                            stats_.messages_migrated)) {
+        dead_letter(rec.id, m.sender, pe, m.seq, m.type);
       }
       heap_release(m.heap_offset);
     }
     rec.in_queue.clear();
     for (const Message& m : rec.replies) {
-      ++stats_.dead_letters;
-      trace_event(trace::EventKind::dead_letter, rec.id, m.sender, pe, m.seq,
-                  m.type);
+      dead_letter(rec.id, m.sender, pe, m.seq, m.type);
       heap_release(m.heap_offset);
     }
     rec.replies.clear();
@@ -354,6 +328,21 @@ int Runtime::pick_survivor(int dead_cluster) const {
   return (it != by_number_.end() && !it->second->dead) ? c : -1;
 }
 
+bool Runtime::migrate_initiate(TaskId dead_ctl, TaskId parent, int pe,
+                               std::uint64_t seq, const std::string& label,
+                               std::vector<Value> args, std::uint64_t& migrated) {
+  const int target = migrate_work_ ? pick_survivor(dead_ctl.cluster) : -1;
+  if (target < 0) return false;
+  trace_event(trace::EventKind::supervision, dead_ctl, parent, pe, seq,
+              label + " cluster=" + std::to_string(target));
+  // A false post already dead-lettered itself (heap denial).
+  if (post(parent, nullptr, by_number_[target]->controller_id(), "_INITIATE",
+           std::move(args))) {
+    ++migrated;
+  }
+  return true;
+}
+
 int Runtime::halted_pe_count(const Cluster& cl) const {
   int n = pe_usable(cl.cfg.primary_pe) ? 0 : 1;
   for (int pe : cl.cfg.secondary_pes) {
@@ -388,10 +377,6 @@ void Runtime::start_controllers(Cluster& cl) {
   if (cl.files.has_value()) {
     make_controller(kFileControllerSlot, "_FCONTR", &Runtime::file_controller_body);
   }
-}
-
-int Runtime::find_free_slot(Cluster& cl) const {
-  return cl.free_slots.empty() ? -1 : *cl.free_slots.begin();
 }
 
 int Runtime::place_task_pe(Cluster& cl) {
@@ -447,12 +432,10 @@ Matrix* Runtime::live_window_array(const Window& w) {
 void Runtime::task_controller_body(Cluster& cl, TaskContext& ctx) {
   while (true) {
     // Drain held initiate requests into freed slots first.
-    while (!cl.pending.empty()) {
-      const int s = find_free_slot(cl);
-      if (s < 0) break;
+    while (!cl.pending.empty() && !cl.free_slots.empty()) {
       PendingInitiate req = std::move(cl.pending.front());
       cl.pending.pop_front();
-      start_task(cl, ctx, s, std::move(req));
+      start_task(cl, ctx, std::move(req));
     }
     if (ctx.record().in_queue.empty()) {
       ctx.proc().block();
@@ -466,7 +449,7 @@ void Runtime::task_controller_body(Cluster& cl, TaskContext& ctx) {
       }
       handle_initiate(cl, ctx, std::move(req));
     } else if (m.type == "_WINREAD" || m.type == "_WINWRITE") {
-      serve_window(cl, ctx, m);
+      serve_window(ctx, m);
     } else {
       ++stats_.controller_unknown_messages;
     }
@@ -474,16 +457,15 @@ void Runtime::task_controller_body(Cluster& cl, TaskContext& ctx) {
 }
 
 void Runtime::handle_initiate(Cluster& cl, TaskContext& ctl, PendingInitiate req) {
-  const int s = find_free_slot(cl);
-  if (s < 0) {
+  if (cl.free_slots.empty()) {
     cl.pending.push_back(std::move(req));
     ++stats_.initiates_held;
     return;
   }
-  start_task(cl, ctl, s, std::move(req));
+  start_task(cl, ctl, std::move(req));
 }
 
-void Runtime::start_task(Cluster& cl, TaskContext& ctl, int slot, PendingInitiate req) {
+void Runtime::start_task(Cluster& cl, TaskContext& ctl, PendingInitiate req) {
   auto it = tasktypes_.find(req.tasktype);
   if (it == tasktypes_.end()) {
     console().write_line(sys_->engine().now(),
@@ -491,6 +473,7 @@ void Runtime::start_task(Cluster& cl, TaskContext& ctl, int slot, PendingInitiat
     return;
   }
   ctl.proc().compute(costs().task_setup);
+  const int slot = *cl.free_slots.begin();
   cl.free_slots.erase(slot);
   auto& rec = cl.slot(slot);
   rec.id = TaskId{cl.cfg.number, slot, ++next_unique_};
@@ -572,9 +555,7 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
       ++stats_.childterms_posted;
       post(id, nullptr, parent, "_CHILDTERM", {Value(id), Value(reason)});
     } else if (parent.valid()) {
-      ++stats_.dead_letters;
-      trace_event(trace::EventKind::dead_letter, parent, id, pe, 0,
-                  "_CHILDTERM");
+      dead_letter(parent, id, pe, 0, "_CHILDTERM");
     }
     if (termination_hook_) {
       termination_hook_({id, parent, tasktype, std::move(saved_args), pe,
@@ -621,76 +602,67 @@ void Runtime::file_controller_body(Cluster& cl, TaskContext& ctx) {
 
 // ---- window service ----
 
-void Runtime::serve_window(Cluster& cl, TaskContext& ctl, const Message& m) {
+void Runtime::refuse_window(TaskContext& ctl, const Message& m,
+                            const std::string& reason) {
+  post(ctl.self(), &ctl.proc(), m.sender, "_WINERR", {m.args.at(0), Value(reason)},
+       /*to_reply_queue=*/true);
+}
+
+bool Runtime::refuse_misfit(TaskContext& ctl, const Message& m, const Window& w,
+                            const Matrix& arr, const char* kind) {
+  if (!fsim::rect_inside(arr, w.rect)) {
+    refuse_window(ctl, m, "window " + w.rect.str() + " outside " + kind);
+  } else if (m.type == "_WINWRITE" &&
+             m.args.at(2).as_real_array().size() != w.elements()) {
+    refuse_window(ctl, m, "write data size mismatch");
+  } else {
+    return false;
+  }
+  return true;
+}
+
+void Runtime::serve_window(TaskContext& ctl, const Message& m) {
   const TaskId requester = m.sender;
   const auto rid = m.args.at(0).as_int();
   const Window w = m.args.at(1).as_window();
-  auto fail = [&](const std::string& reason) {
-    post(cl.controller_id(), &ctl.proc(), requester, "_WINERR",
-         {Value(rid), Value(reason)}, /*to_reply_queue=*/true);
-  };
   TaskRecord* owner = live_record(w.owner);
   if (owner == nullptr) {
-    fail("window owner " + w.owner.str() + " is not running");
+    refuse_window(ctl, m, "window owner " + w.owner.str() + " is not running");
     return;
   }
-  {
-    auto it = owner->arrays.find(w.array);
-    if (it == owner->arrays.end()) {
-      fail("owner has no array id " + std::to_string(w.array));
-      return;
-    }
-    const Matrix& arr = it->second.data;
-    if (!w.rect.valid() || w.rect.row0 + w.rect.rows > arr.rows() ||
-        w.rect.col0 + w.rect.cols > arr.cols()) {
-      fail("window " + w.rect.str() + " outside array");
-      return;
-    }
+  auto it = owner->arrays.find(w.array);
+  if (it == owner->arrays.end()) {
+    refuse_window(ctl, m, "owner has no array id " + std::to_string(w.array));
+    return;
   }
+  if (refuse_misfit(ctl, m, w, it->second.data, "array")) return;
   // Validate everything before charging: a rejected request must not be
   // billed for a copy that never happens. The charge blocks the controller,
   // so the array must be re-resolved afterwards — the owner may be killed
   // while the copy is in flight, destroying the storage the window names.
   // When the owner's task was placed on another PE, the controller pulls
   // the window across the bus instead of out of its own local memory.
-  const bool cross_pe = owner->pe != ctl.proc().pe();
-  const int owner_pe = owner->pe;
-  auto charge_copy = [&] {
-    if (cross_pe) {
-      charge_transfer(ctl.proc(), w.bytes(), owner_pe, ctl.proc().pe());
-    } else {
-      ctl.proc().compute(static_cast<sim::Tick>(w.elements()) *
-                         costs().local_access);
-    }
-  };
+  if (owner->pe != ctl.proc().pe()) {
+    charge_transfer(ctl.proc(), w.bytes(), owner->pe, ctl.proc().pe());
+  } else {
+    ctl.proc().compute(static_cast<sim::Tick>(w.elements()) * costs().local_access);
+  }
+  Matrix* arr = live_window_array(w);
+  if (arr == nullptr) {
+    refuse_window(ctl, m, "window owner " + w.owner.str() + " died during the transfer");
+    return;
+  }
   if (m.type == "_WINREAD") {
-    charge_copy();
-    Matrix* arr = live_window_array(w);
-    if (arr == nullptr) {
-      fail("window owner " + w.owner.str() + " died during the transfer");
-      return;
-    }
     Matrix part = fsim::copy_rect(*arr, w.rect);
     ++stats_.window_reads;
-    post(cl.controller_id(), &ctl.proc(), requester, "_WINDATA",
+    post(ctl.self(), &ctl.proc(), requester, "_WINDATA",
          {Value(rid), Value(std::move(part.data()))}, /*to_reply_queue=*/true);
   } else {
-    const auto& data = m.args.at(2).as_real_array();
-    if (data.size() != w.elements()) {
-      fail("write data size mismatch");
-      return;
-    }
-    charge_copy();
-    Matrix* arr = live_window_array(w);
-    if (arr == nullptr) {
-      fail("window owner " + w.owner.str() + " died during the transfer");
-      return;
-    }
     Matrix part(w.rect.rows, w.rect.cols);
-    part.data() = data;
+    part.data() = m.args.at(2).as_real_array();
     fsim::paste_rect(*arr, w.rect, part);
     ++stats_.window_writes;
-    post(cl.controller_id(), &ctl.proc(), requester, "_WINACK", {Value(rid)},
+    post(ctl.self(), &ctl.proc(), requester, "_WINACK", {Value(rid)},
          /*to_reply_queue=*/true);
   }
 }
@@ -699,19 +671,15 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
   const TaskId requester = m.sender;
   const auto rid = m.args.at(0).as_int();
   const TaskId fc_id = cl.slot(kFileControllerSlot).id;
-  auto fail = [&](const std::string& reason) {
-    post(fc_id, &ctl.proc(), requester, "_WINERR", {Value(rid), Value(reason)},
-         /*to_reply_queue=*/true);
-  };
   if (!cl.files.has_value()) {
-    fail("cluster has no file system");
+    refuse_window(ctl, m, "cluster has no file system");
     return;
   }
 
   if (m.type == "_FWIN") {
     const std::string& name = m.args.at(1).as_str();
     if (!cl.files->exists(name)) {
-      fail("no file array '" + name + "'");
+      refuse_window(ctl, m, "no file array '" + name + "'");
       return;
     }
     auto [it, inserted] = cl.file_array_ids.try_emplace(name, cl.next_file_array_id);
@@ -734,25 +702,14 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
   const Window w = m.args.at(1).as_window();
   auto name_it = cl.file_array_names.find(w.array);
   if (name_it == cl.file_array_names.end()) {
-    fail("unknown file array id " + std::to_string(w.array));
+    refuse_window(ctl, m, "unknown file array id " + std::to_string(w.array));
     return;
   }
   const std::string name = name_it->second;
-  Matrix& arr = cl.files->get(name);
-  if (!w.rect.valid() || w.rect.row0 + w.rect.rows > arr.rows() ||
-      w.rect.col0 + w.rect.cols > arr.cols()) {
-    fail("window " + w.rect.str() + " outside file array");
-    return;
-  }
+  if (refuse_misfit(ctl, m, w, cl.files->get(name), "file array")) return;
   const bool is_write = m.type == "_WINWRITE";
   std::vector<double> write_data;
-  if (is_write) {
-    write_data = m.args.at(2).as_real_array();
-    if (write_data.size() != w.elements()) {
-      fail("write data size mismatch");
-      return;
-    }
-  }
+  if (is_write) write_data = m.args.at(2).as_real_array();
 
   // Overlap-aware scheduling: conflicting operations wait; disjoint ones
   // pipeline through the disk. The controller does not block — the data
@@ -781,38 +738,31 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
   }
   sched.record(w.rect, is_write, now, done);
   ctl.proc().compute(costs().msg_accept_overhead);  // request bookkeeping
-  if (io_failed) {
-    // The typed error arrives when the last failed pass completes, exactly
-    // like data would.
-    sys_->engine().schedule(done, [this, rid, requester, fc_id, name] {
+  // The data, the ack or the typed I/O error arrives when the operation's
+  // last pass completes.
+  Cluster* clp = &cl;
+  sys_->engine().schedule(done, [this, clp, name, rect = w.rect, rid, requester,
+                                 fc_id, io_failed, is_write,
+                                 data = std::move(write_data)] {
+    if (io_failed) {
       post(fc_id, nullptr, requester, "_WINERR",
            {Value(rid), Value("disk I/O error on '" + name + "'")},
            /*to_reply_queue=*/true);
-    });
-    return;
-  }
-
-  Cluster* clp = &cl;
-  if (is_write) {
-    sys_->engine().schedule(done, [this, clp, name, rect = w.rect, rid, requester,
-                                   fc_id, data = std::move(write_data)] {
+    } else if (is_write) {
       Matrix part(rect.rows, rect.cols);
       part.data() = data;
       clp->files->write_rect(name, rect, part);
       ++stats_.window_writes;
       post(fc_id, nullptr, requester, "_WINACK", {Value(rid)},
            /*to_reply_queue=*/true);
-    });
-  } else {
-    sys_->engine().schedule(done, [this, clp, name, rect = w.rect, rid, requester,
-                                   fc_id] {
+    } else {
       Matrix part = clp->files->read_rect(name, rect);
       ++stats_.window_reads;
       post(fc_id, nullptr, requester, "_WINDATA",
            {Value(rid), Value(std::move(part.data()))},
            /*to_reply_queue=*/true);
-    });
-  }
+    }
+  });
 }
 
 // ---- messaging core ----
@@ -833,13 +783,10 @@ void Runtime::charge_transfer(mmos::Proc& proc, std::size_t bytes, int from_pe,
 
 void Runtime::charge_signal(mmos::Proc& proc, int peer_pe) {
   proc.compute(costs().collective_signal);
-  auto& machine = sys_->machine();
-  if (machine.interconnect().crosses_backbone(proc.pe(), peer_pe)) {
+  if (sys_->machine().interconnect().crosses_backbone(proc.pe(), peer_pe)) {
     // The locally-polled flag lives in the peer's cluster: publishing it
     // moves one 8-byte word across the backbone route.
-    const sim::Tick now = sys_->engine().now();
-    const sim::Tick done = machine.message_transfer(now, 8, proc.pe(), peer_pe);
-    if (done > now) proc.compute(done - now);
+    charge_transfer(proc, 8, proc.pe(), peer_pe);
   }
 }
 
@@ -888,13 +835,9 @@ std::size_t Runtime::heap_allocate_blocking(std::size_t bytes, mmos::Proc* proc,
       heap_waiters_.push_back(HeapWaiter{proc, need});
     }
     retried = true;
-    if (deadline > 0) {
-      if (proc->block_with_timeout(deadline)) {
-        leave_queue();
-        return kDeadline;
-      }
-    } else {
-      proc->block();
+    if (proc->block_with_timeout(deadline > 0 ? deadline : sim::kForever)) {
+      leave_queue();
+      return kDeadline;
     }
   }
 }
@@ -923,6 +866,14 @@ void Runtime::heap_release(std::size_t offset) {
   }
 }
 
+void Runtime::stamp(Message& msg, std::size_t offset, std::size_t bytes) {
+  msg.heap_offset = offset;
+  msg.heap_bytes = bytes;
+  msg.sent_at = msg.arrived_at = sys_->engine().now();
+  msg.seq = ++next_msg_seq_;
+  stats_.message_bytes_sent += bytes;
+}
+
 bool Runtime::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
                    std::string type, std::vector<Value> args,
                    bool to_reply_queue, int via_pe) {
@@ -933,14 +884,10 @@ bool Runtime::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
                            std::to_string(args.size()));
   }
   if (live_record(to) == nullptr) {
-    ++stats_.dead_letters;
-    trace_event(trace::EventKind::dead_letter, to, from, 0, 0, type);
+    dead_letter(to, from, 0, 0, type);
     return false;
   }
-  Message msg;
-  msg.type = std::move(type);
-  msg.sender = from;
-  msg.args = std::move(args);
+  Message msg{std::move(type), from, std::move(args)};
   const std::size_t bytes = msg.encoded_size();
   // An optional send deadline bounds the worst-case wait on a full heap:
   // bounded blocking is part of the reliable contract (_SENDFAIL instead of
@@ -952,18 +899,11 @@ bool Runtime::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
           : 0;
   const std::size_t off = heap_allocate_blocking(bytes, sender_proc, send_deadline);
   if (off == kDeadline) {
-    ++stats_.send_failures;
-    const SendFailInfo info{from, to, msg.type, 0, "deadline"};
-    (void)post(to, nullptr, from, "_SENDFAIL",
-               {Value(msg.type), Value(to), Value(std::int64_t{0}),
-                Value(std::string("deadline"))});
-    if (send_fail_hook_) send_fail_hook_(info);
+    surface_send_fail(from, to, msg.type, 0, "deadline");
     return false;
   }
   if (off == kNoSpace) {
-    ++stats_.dead_letters;
-    trace_event(trace::EventKind::dead_letter, to, from, 0, 0,
-                msg.type + " (no message storage)");
+    dead_letter(to, from, 0, 0, msg.type + " (no message storage)");
     return false;
   }
   int sender_pe = 0;
@@ -986,12 +926,8 @@ bool Runtime::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
     sys_->machine().message_transfer(sys_->engine().now(), bytes, bill_from,
                                      dest_pe);
   }
-  msg.heap_offset = off;
-  msg.heap_bytes = bytes;
-  msg.sent_at = msg.arrived_at = sys_->engine().now();
-  msg.seq = ++next_msg_seq_;
+  stamp(msg, off, bytes);
   ++stats_.messages_sent;
-  stats_.message_bytes_sent += bytes;
   trace_event(trace::EventKind::msg_send, from, to, sender_pe, msg.seq, msg.type);
 
   // Reliable transport: stamp the copy with its channel sequence and hold
@@ -1023,10 +959,11 @@ std::optional<bool> Runtime::apply_bus_faults(Message& msg, TaskId from,
   // A partition window refuses the transfer outright (checked before the
   // per-transfer fault draw: a partitioned bus never arbitrates the
   // message at all). The transfer was already charged — the copy is
-  // dropped at the cluster boundary. Under the shared topology the window
-  // severs traffic between the two *configured* clusters; under hier/numa
-  // it severs the backbone link between their hardware clusters, so only
-  // routes that actually cross that link are affected.
+  // dropped at the cluster boundary, like a lost one. Under the shared
+  // topology the window severs traffic between the two *configured*
+  // clusters; under hier/numa it severs the backbone link between their
+  // hardware clusters, so only routes that actually cross that link are
+  // affected.
   const bool partition_hit =
       ic.kind() == flex::Topology::shared
           ? (from.cluster != to.cluster &&
@@ -1034,23 +971,15 @@ std::optional<bool> Runtime::apply_bus_faults(Message& msg, TaskId from,
           : (ic.crosses_backbone(bill_from, dest_pe) &&
              faults_->backbone_partitioned(ic.cluster_of(bill_from),
                                            ic.cluster_of(dest_pe), now));
-  if (partition_hit) {
-    ++faults_->stats().bus_partition_drops;
-    if (msg.chan_seq != 0) ++stats_.reliable_copies_lost;
-    trace_event(trace::EventKind::fault, from, to, sender_pe, msg.seq,
-                "bus-partition " + msg.type);
-    ic.note_faulted(bill_from, dest_pe);
-    heap_release(msg.heap_offset);
-    return true;
-  }
-  switch (faults_->next_bus_fault()) {
+  if (partition_hit) ++faults_->stats().bus_partition_drops;
+  switch (partition_hit ? flex::BusFault::lose : faults_->next_bus_fault()) {
     case flex::BusFault::lose:
       // The transfer happened (and was charged) but the message vanishes.
       // Asynchronous sends don't learn about the loss; the send succeeds.
       // (Under the reliable layer the retransmit timer covers the copy.)
       if (msg.chan_seq != 0) ++stats_.reliable_copies_lost;
       trace_event(trace::EventKind::fault, from, to, sender_pe, msg.seq,
-                  "bus-lose " + msg.type);
+                  (partition_hit ? "bus-partition " : "bus-lose ") + msg.type);
       ic.note_faulted(bill_from, dest_pe);
       heap_release(msg.heap_offset);
       return true;
@@ -1152,74 +1081,61 @@ void Runtime::retransmit_fire(ChannelKey key, std::uint64_t seq) {
   if (it == ch.unacked.end()) return;  // acked meanwhile: timer no-ops
   auto& p = it->second;
   const sim::Tick now = sys_->engine().now();
-  if (p.deadline > 0 && now >= p.deadline) {
-    reliable_send_fail(key, seq, "deadline");
-    return;
-  }
-  if (p.attempts >= cfg_.reliable.max_retries) {
-    reliable_send_fail(key, seq, "retries");
+  const char* give_up = p.deadline > 0 && now >= p.deadline ? "deadline"
+                        : p.attempts >= cfg_.reliable.max_retries ? "retries"
+                                                                  : nullptr;
+  if (give_up != nullptr) {
+    const ReliableChannel::Pending gone = std::move(p);
+    ch.unacked.erase(it);
+    surface_send_fail(gone.from, gone.to, gone.type, gone.attempts, give_up);
     return;
   }
   ++p.attempts;
-  Message m;
-  m.type = p.type;
-  m.sender = p.from;
-  m.args = p.args;
+  Message m{p.type, p.from, p.args};
   const std::size_t bytes = m.encoded_size();
   // Timers run proc-less, so allocation cannot block; a full heap costs the
   // attempt (the budget still bounds total work under a persistent outage)
   // and the next timer tries again.
-  if (auto off = msg_heap_->allocate(bytes); off.has_value()) {
-    m.heap_offset = *off;
-    m.heap_bytes = bytes;
-    m.sent_at = m.arrived_at = now;
-    m.seq = ++next_msg_seq_;
-    m.chan_seq = seq;
-    m.chan_from = key.first;
-    m.chan_to = key.second;
-    ++stats_.retransmits;
-    ++stats_.reliable_copies_sent;
-    stats_.message_bytes_sent += bytes;
-    trace_event(trace::EventKind::retransmit, p.from, p.to, key.first, m.seq,
-                m.type + " #" + std::to_string(p.attempts));
-    sys_->machine().message_transfer(now, bytes, key.first, key.second);
-    const TaskId to = p.to;
-    const bool to_reply = p.to_reply_queue;
-    // apply_bus_faults / deliver may mutate the channel map (acks, settles),
-    // so `p`/`it` must not be touched past this point.
-    if (auto consumed = apply_bus_faults(m, m.sender, to, to_reply, key.first,
-                                         key.first, key.second);
-        !consumed.has_value()) {
-      (void)deliver(std::move(m), to, to_reply);
-    }
-    auto reit = reliable_channels_.find(key);
-    if (reit == reliable_channels_.end()) return;
-    const auto pit = reit->second.unacked.find(seq);
-    if (pit == reit->second.unacked.end()) return;  // settled by this very copy
-    schedule_retransmit(key, seq, reliable_backoff(pit->second.attempts + 1));
+  const auto off = msg_heap_->allocate(bytes);
+  if (!off.has_value()) {
+    schedule_retransmit(key, seq, reliable_backoff(p.attempts + 1));
     return;
   }
-  schedule_retransmit(key, seq, reliable_backoff(p.attempts + 1));
+  stamp(m, *off, bytes);
+  m.chan_seq = seq;
+  m.chan_from = key.first;
+  m.chan_to = key.second;
+  ++stats_.retransmits;
+  ++stats_.reliable_copies_sent;
+  trace_event(trace::EventKind::retransmit, p.from, p.to, key.first, m.seq,
+              m.type + " #" + std::to_string(p.attempts));
+  sys_->machine().message_transfer(now, bytes, key.first, key.second);
+  const TaskId to = p.to;
+  const bool to_reply = p.to_reply_queue;
+  // apply_bus_faults / deliver may mutate the channel map (acks, settles),
+  // so `p`/`it` must not be touched past this point.
+  if (auto consumed = apply_bus_faults(m, m.sender, to, to_reply, key.first,
+                                       key.first, key.second);
+      !consumed.has_value()) {
+    (void)deliver(std::move(m), to, to_reply);
+  }
+  auto reit = reliable_channels_.find(key);
+  if (reit == reliable_channels_.end()) return;
+  const auto pit = reit->second.unacked.find(seq);
+  if (pit == reit->second.unacked.end()) return;  // settled by this very copy
+  schedule_retransmit(key, seq, reliable_backoff(pit->second.attempts + 1));
 }
 
-void Runtime::reliable_send_fail(ChannelKey key, std::uint64_t seq,
-                                 const char* reason) {
-  auto& ch = reliable_channels_[key];
-  const auto it = ch.unacked.find(seq);
-  if (it == ch.unacked.end()) return;
-  const ReliableChannel::Pending p = std::move(it->second);
-  ch.unacked.erase(it);
+void Runtime::surface_send_fail(TaskId from, TaskId to, const std::string& type,
+                                int attempts, const char* reason) {
   ++stats_.send_failures;
   // The typed failure rides the same out-of-band path as _CHILDTERM: the
   // sender must learn the transport gave up even under the faults that
   // caused the give-up.
-  (void)post(p.to, nullptr, p.from, "_SENDFAIL",
-             {Value(p.type), Value(p.to),
-              Value(static_cast<std::int64_t>(p.attempts)),
+  (void)post(to, nullptr, from, "_SENDFAIL",
+             {Value(type), Value(to), Value(static_cast<std::int64_t>(attempts)),
               Value(std::string(reason))});
-  if (send_fail_hook_) {
-    send_fail_hook_({p.from, p.to, p.type, p.attempts, reason});
-  }
+  if (send_fail_hook_) send_fail_hook_({from, to, type, attempts, reason});
 }
 
 void Runtime::schedule_ack_flush(ChannelKey key) {
@@ -1278,10 +1194,8 @@ bool Runtime::deliver(Message msg, TaskId to, bool to_reply_queue) {
   // delay held the message in flight.
   TaskRecord* rec = live_record(to);
   if (rec == nullptr) {
-    ++stats_.dead_letters;
     if (msg.chan_seq != 0) ++stats_.reliable_dead_letters;
-    trace_event(trace::EventKind::dead_letter, to, msg.sender, 0, msg.seq,
-                msg.type);
+    dead_letter(to, msg.sender, 0, msg.seq, msg.type);
     heap_release(msg.heap_offset);
     return false;
   }
@@ -1406,7 +1320,6 @@ void Runtime::user_initiate(int cluster, std::string tasktype,
   if (it == by_number_.end()) {
     throw std::out_of_range("no cluster " + std::to_string(cluster));
   }
-  ++stats_.initiates_requested;
   post(user_controller_id(), nullptr, it->second->controller_id(), "_INITIATE",
        {Value(std::move(tasktype)), Value::list(std::move(args))});
 }
@@ -1416,12 +1329,9 @@ bool Runtime::supervised_initiate(std::string tasktype, TaskId parent,
   if (!booted_) throw std::logic_error("supervised_initiate before boot");
   const int target = pick_survivor(clusters_.front()->cfg.number);
   if (target < 0) {
-    ++stats_.dead_letters;
-    trace_event(trace::EventKind::dead_letter, {}, parent, 0, 0,
-                "_INITIATE " + tasktype + " (no live cluster)");
+    dead_letter({}, parent, 0, 0, "_INITIATE " + tasktype + " (no live cluster)");
     return false;
   }
-  ++stats_.initiates_requested;
   return post(parent, nullptr, by_number_[target]->controller_id(),
               "_INITIATE",
               {Value(std::move(tasktype)), Value::list(std::move(args)),
@@ -1502,14 +1412,6 @@ std::vector<Runtime::TaskInfo> Runtime::running_tasks() const {
     }
   }
   return out;
-}
-
-const Cluster& Runtime::cluster(int number) const {
-  auto it = by_number_.find(number);
-  if (it == by_number_.end()) {
-    throw std::out_of_range("no cluster " + std::to_string(number));
-  }
-  return *it->second;
 }
 
 Cluster& Runtime::cluster(int number) {

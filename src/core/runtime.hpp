@@ -66,7 +66,9 @@ struct Cluster {
     return *slots[static_cast<std::size_t>(n)];
   }
   [[nodiscard]] TaskId controller_id() const { return slot(kTaskControllerSlot).id; }
-  [[nodiscard]] int free_user_slots() const;
+  [[nodiscard]] int free_user_slots() const {
+    return static_cast<int>(free_slots.size());
+  }
 };
 
 /// Run-wide statistics kept by the run-time library.
@@ -74,7 +76,6 @@ struct RuntimeStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_accepted = 0;
   std::uint64_t broadcast_copies = 0;
-  std::uint64_t initiates_requested = 0;
   std::uint64_t initiates_held = 0;  ///< waited for a slot
   std::uint64_t tasks_started = 0;
   std::uint64_t tasks_finished = 0;
@@ -181,7 +182,9 @@ class Runtime {
     sim::Tick initiated_at = 0;
   };
   [[nodiscard]] std::vector<TaskInfo> running_tasks() const;
-  [[nodiscard]] const Cluster& cluster(int number) const;
+  [[nodiscard]] const Cluster& cluster(int number) const {
+    return const_cast<Runtime*>(this)->cluster(number);
+  }
   [[nodiscard]] Cluster& cluster(int number);
   [[nodiscard]] const std::vector<std::unique_ptr<Cluster>>& clusters() const {
     return clusters_;
@@ -293,6 +296,15 @@ class Runtime {
   bool post(TaskId from, mmos::Proc* sender_proc, TaskId to, std::string type,
             std::vector<Value> args, bool to_reply_queue = false,
             int via_pe = -1);
+  /// Give a copy bound for the bus its heap block, send tick and global
+  /// sequence, and count its bytes (first sends and retransmissions).
+  void stamp(Message& msg, std::size_t offset, std::size_t bytes);
+  /// Count and trace a message that reached no live task.
+  void dead_letter(TaskId to, TaskId from, int pe, std::uint64_t seq,
+                   const std::string& info) {
+    ++stats_.dead_letters;
+    trace_event(trace::EventKind::dead_letter, to, from, pe, seq, info);
+  }
   /// Allocate message bytes in the shared heap, blocking `proc` (if given)
   /// until space is available. A non-zero `deadline` bounds the wait: past
   /// it the waiter gives up and kDeadline comes back (reliable sends with a
@@ -303,7 +315,6 @@ class Runtime {
 
   int resolve_where(const Where& where, int my_cluster) const;
   [[nodiscard]] TaskRecord* live_record(TaskId id);
-  [[nodiscard]] int find_free_slot(Cluster& cl) const;
   /// Pick the PE for a new user task per the cluster's placement policy.
   [[nodiscard]] int place_task_pe(Cluster& cl);
   /// Re-resolve a window's backing array after a blocking charge: the owner
@@ -384,10 +395,10 @@ class Runtime {
   /// Retransmit timer body: no-op if acked, give up past the deadline or
   /// budget, otherwise re-send a fresh copy and re-arm with doubled backoff.
   void retransmit_fire(ChannelKey key, std::uint64_t seq);
-  /// Drop the pending entry, surface _SENDFAIL to the sender (out-of-band,
-  /// like _CHILDTERM), and notify the session layer's hook.
-  void reliable_send_fail(ChannelKey key, std::uint64_t seq,
-                          const char* reason);
+  /// Count a send given up on ("deadline" or "retries"), post _SENDFAIL to
+  /// the sender (out-of-band, like _CHILDTERM) and call the session hook.
+  void surface_send_fail(TaskId from, TaskId to, const std::string& type,
+                         int attempts, const char* reason);
   void schedule_ack_flush(ChannelKey key);
   /// Ack-flush timer body: bill one reverse control word, then clear every
   /// settled sequence out of the sender's retransmit buffer (cumulative ack).
@@ -418,6 +429,13 @@ class Runtime {
   /// Healthiest live cluster other than `dead_cluster` (ANY placement
   /// rules), or -1 when none survives.
   [[nodiscard]] int pick_survivor(int dead_cluster) const;
+  /// With work migration on, trace `<label> cluster=<n>` and post one
+  /// _INITIATE off the cluster of controller `dead_ctl` to a survivor,
+  /// counting it in `migrated`. False, with nothing posted, when migration
+  /// is off or nobody survives.
+  bool migrate_initiate(TaskId dead_ctl, TaskId parent, int pe, std::uint64_t seq,
+                        const std::string& label, std::vector<Value> args,
+                        std::uint64_t& migrated);
   /// Halted PEs among a cluster's {primary} ∪ secondaries (survivor
   /// rebalancing: ANY placement prefers less-degraded clusters).
   [[nodiscard]] int halted_pe_count(const Cluster& cl) const;
@@ -438,10 +456,17 @@ class Runtime {
   void user_controller_body(Cluster& cl, TaskContext& ctx);
   void file_controller_body(Cluster& cl, TaskContext& ctx);
   void handle_initiate(Cluster& cl, TaskContext& ctl, PendingInitiate req);
-  void start_task(Cluster& cl, TaskContext& ctl, int slot, PendingInitiate req);
+  /// Start `req` in the cluster's lowest free slot (there must be one).
+  void start_task(Cluster& cl, TaskContext& ctl, PendingInitiate req);
   void finish_task(Cluster& cl, int slot, TaskId id);
-  void serve_window(Cluster& cl, TaskContext& ctl, const Message& m);
+  void serve_window(TaskContext& ctl, const Message& m);
   void serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m);
+  /// Answer window request `m` with _WINERR(rid, reason) from `ctl`.
+  void refuse_window(TaskContext& ctl, const Message& m, const std::string& reason);
+  /// Refuse `m` (true) when `w`'s rect leaves `arr` or a write's data does
+  /// not fill it; `kind` names the array in the reason.
+  bool refuse_misfit(TaskContext& ctl, const Message& m, const Window& w,
+                     const Matrix& arr, const char* kind);
 
   /// Count a trace event; build its record only when a sink will take it.
   void trace_event(trace::EventKind kind, TaskId task, TaskId other, int pe,

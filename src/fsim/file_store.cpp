@@ -3,7 +3,7 @@
 namespace pisces::fsim {
 
 rt::Matrix copy_rect(const rt::Matrix& src, const rt::Rect& r) {
-  if (!r.valid() || r.row0 + r.rows > src.rows() || r.col0 + r.cols > src.cols()) {
+  if (!rect_inside(src, r)) {
     throw std::out_of_range("copy_rect: " + r.str() + " outside " +
                             std::to_string(src.rows()) + "x" +
                             std::to_string(src.cols()));
@@ -21,7 +21,7 @@ void paste_rect(rt::Matrix& dst, const rt::Rect& r, const rt::Matrix& data) {
   if (data.rows() != r.rows || data.cols() != r.cols) {
     throw std::invalid_argument("paste_rect: data shape does not match rect");
   }
-  if (!r.valid() || r.row0 + r.rows > dst.rows() || r.col0 + r.cols > dst.cols()) {
+  if (!rect_inside(dst, r)) {
     throw std::out_of_range("paste_rect: " + r.str() + " outside " +
                             std::to_string(dst.rows()) + "x" +
                             std::to_string(dst.cols()));

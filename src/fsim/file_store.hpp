@@ -62,6 +62,11 @@ class FileStore {
   std::map<std::string, rt::Matrix> files_;
 };
 
+/// True if `r` is non-empty and lies inside `m`: the bounds check behind
+/// copy_rect, paste_rect and both window services.
+[[nodiscard]] inline bool rect_inside(const rt::Matrix& m, const rt::Rect& r) {
+  return r.valid() && r.row0 + r.rows <= m.rows() && r.col0 + r.cols <= m.cols();
+}
 /// Copy `r` of `src` into a fresh rect-shaped matrix. Shared by FileStore
 /// and the task-array window service.
 rt::Matrix copy_rect(const rt::Matrix& src, const rt::Rect& r);

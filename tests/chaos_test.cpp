@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <random>
 #include <tuple>
 
@@ -406,6 +407,79 @@ TEST(Chaos, DiskErrorRetriesAreInvisibleWhenTheyRecover) {
   EXPECT_GT(ok, 0);
   EXPECT_GT(rt.fault_injector()->stats().disk_errors, 0u);
   EXPECT_EQ(ok + failed, 12);
+}
+
+// ---- window-request retries ------------------------------------------
+
+struct WindowRetryRun {
+  bool read_ok = false;
+  std::string error;
+  std::uint64_t window_retries = 0;
+  std::size_t heap_in_use = 0;
+};
+
+/// A reader in cluster 1 reads a window owned by a task in cluster 2 while
+/// a bus partition between the two clusters, from tick 1,000,000 to
+/// `heal`, drops the window requests. The owner is up before the
+/// partition opens and stays blocked in an ACCEPT until long after.
+WindowRetryRun run_partitioned_window_read(sim::Tick heal) {
+  sim::Engine eng;
+  flex::Machine machine{eng};
+  mmos::System sys{machine};
+  config::Configuration cfg = config::Configuration::simple(2);
+  cfg.faults.seed = 3;
+  cfg.faults.bus_partitions.push_back({1, 2, 1'000'000, heal});
+  cfg.accept_default_timeout = 100'000;  // first patience; it doubles per attempt
+  Runtime rt(sys, std::move(cfg));
+  std::optional<Window> window;
+  WindowRetryRun out;
+  rt.register_tasktype("owner", [&](TaskContext& ctx) {
+    ctx.local_array("A", 4, 4).data = Matrix(4, 4, 7.0);
+    window = ctx.make_window("A");
+    ctx.accept(AcceptSpec{}.of("never", 1).delay_for(20'000'000));
+  });
+  rt.register_tasktype("reader", [&](TaskContext& ctx) {
+    ctx.compute(1'100'000);  // inside the partition window
+    if (!window.has_value()) {
+      ADD_FAILURE() << "owner never published its window";
+      return;
+    }
+    try {
+      const Matrix m = ctx.window_read(*window);
+      out.read_ok = m.rows() == 4 && m.cols() == 4 && m.at(3, 3) == 7.0;
+    } catch (const WindowError& e) {
+      out.error = e.what();
+    }
+  });
+  rt.boot();
+  rt.user_initiate(2, "owner");
+  rt.user_initiate(1, "reader");
+  rt.run();
+  out.window_retries = rt.stats().window_retries;
+  out.heap_in_use = rt.message_heap().in_use();
+  return out;
+}
+
+TEST(Chaos, WindowReadGivesUpAfterEveryAttemptIsPartitioned) {
+  // Attempts wait 100k, 200k, 400k and 800k ticks: all of them fall inside
+  // a partition that lasts until tick 10M.
+  const WindowRetryRun r = run_partitioned_window_read(10'000'000);
+  EXPECT_FALSE(r.read_ok);
+  EXPECT_NE(r.error.find("no reply from window service for "), std::string::npos)
+      << r.error;
+  EXPECT_NE(r.error.find(" after 4 attempts"), std::string::npos) << r.error;
+  EXPECT_EQ(r.window_retries, 3u);  // four requests, three of them re-sent
+  EXPECT_EQ(r.heap_in_use, 0u);
+}
+
+TEST(Chaos, WindowReadRetrySucceedsOnceThePartitionHeals) {
+  // The first request (near tick 1.1M) is dropped; the partition heals
+  // before its 100k-tick patience runs out, so the re-sent request is served.
+  const WindowRetryRun r = run_partitioned_window_read(1'150'000);
+  EXPECT_TRUE(r.read_ok) << r.error;
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_GE(r.window_retries, 1u);
+  EXPECT_EQ(r.heap_in_use, 0u);
 }
 
 // ---- recovery fault families -----------------------------------------

@@ -167,6 +167,17 @@ TEST(Menu, BuildsTheSection9MappingInteractively) {
     EXPECT_EQ(cfg.clusters[i].primary_pe, reference.clusters[i].primary_pe);
     EXPECT_EQ(cfg.clusters[i].secondary_pes, reference.clusters[i].secondary_pes);
   }
+
+  // A new cluster takes the lowest MMOS PE that is no cluster's primary
+  // yet, so moving cluster 1 onto PE 4 leaves PE 3 for cluster 2.
+  ConfigMenu moved;
+  std::istringstream in2("cluster 1\nprimary 1 4\ncluster 2\nvalidate\ndone\n");
+  std::ostringstream out2;
+  const Configuration cfg2 = moved.repl(in2, out2);
+  EXPECT_EQ(out2.str().find("already primary"), std::string::npos) << out2.str();
+  ASSERT_NE(cfg2.find_cluster(2), nullptr);
+  EXPECT_EQ(cfg2.find_cluster(1)->primary_pe, 4);
+  EXPECT_EQ(cfg2.find_cluster(2)->primary_pe, 3);
 }
 
 TEST(Menu, ReportsValidationErrorsAndBadCommands) {
