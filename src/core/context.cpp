@@ -51,6 +51,20 @@ bool TaskContext::send(Dest dest, std::string type, std::vector<Value> args) {
   return rt_->post(self(), proc_, to, std::move(type), std::move(args));
 }
 
+/// An in-flight TO ALL distribution tree. The target snapshot is fixed
+/// when the broadcast is issued; positions 1..targets.size() form a k-ary
+/// tree rooted at the sender (position 0), and each interior position
+/// re-forwards to its children from the PE its own copy just reached, so
+/// bus occupancy of sibling subtrees overlaps instead of serializing at
+/// the root.
+struct TaskContext::BroadcastPlan {
+  TaskId origin{};
+  std::string type;
+  std::vector<Value> args;
+  std::vector<TaskId> targets;  ///< position p >= 1 delivers to targets[p-1]
+  int fanout = 4;
+};
+
 int TaskContext::broadcast(std::string type, std::vector<Value> args,
                            std::optional<int> cluster_number) {
   // Snapshot the target taskids before the first send: the root's own posts
@@ -83,21 +97,48 @@ int TaskContext::broadcast(std::string type, std::vector<Value> args,
                    "bcast targets=" + std::to_string(n) + " k=" +
                        std::to_string(k) + " depth=" + std::to_string(depth));
 
-  auto plan = std::make_shared<Runtime::BroadcastPlan>();
-  plan->origin = self();
-  plan->type = std::move(type);
-  plan->args = std::move(args);
-  plan->targets = std::move(targets);
-  plan->fanout = k;
+  auto plan = std::make_shared<BroadcastPlan>(
+      BroadcastPlan{self(), std::move(type), std::move(args), std::move(targets), k});
   const auto root_children = std::min<std::size_t>(
       static_cast<std::size_t>(k), plan->targets.size());
   for (std::size_t pos = 1; pos <= root_children; ++pos) {
-    rt_->dispatch_broadcast_copy(plan, pos, proc_);
+    dispatch_broadcast_copy(*rt_, plan, pos, proc_);
   }
   // The whole snapshot is now committed to the tree; copies past the first
   // level are in flight. Per-copy outcomes land in broadcast_copies /
   // dead_letters rather than the return value.
   return n;
+}
+
+void TaskContext::dispatch_broadcast_copy(Runtime& rt,
+                                          const std::shared_ptr<BroadcastPlan>& plan,
+                                          std::size_t pos, mmos::Proc* sender_proc,
+                                          int via_pe) {
+  if (rt.post(plan->origin, sender_proc, plan->targets[pos - 1], plan->type,
+              plan->args, /*to_reply_queue=*/false, via_pe)) {
+    ++rt.stats_.broadcast_copies;
+  }
+  // Forward regardless of this copy's own fate (dead letter, lost on the
+  // bus): the subtree below `pos` was committed at snapshot time and each
+  // target must get exactly one dispatch. Relayed copies are re-issued from
+  // the PE the copy for `pos` landed on, so the hop is billed from the
+  // relay's cluster (the origin stays the traced sender); the root's own
+  // children, dispatched by broadcast(), bill from the origin.
+  const std::size_t n = plan->targets.size();
+  const auto k = static_cast<std::size_t>(plan->fanout);
+  const sim::Tick now = rt.engine().now();
+  const TaskRecord* relay = rt.live_record(plan->targets[pos - 1]);
+  const int relay_pe = relay != nullptr ? relay->pe : -1;
+  for (std::size_t j = 0, child = k * pos + 1; j < k && child <= n; ++j, ++child) {
+    // The relay PE re-issues its children's copies one after another, each
+    // costing one forward overhead; sibling relays elsewhere run in parallel
+    // and only their bus transfers serialize (inside post -> shared_transfer).
+    const sim::Tick at =
+        now + static_cast<sim::Tick>(j + 1) * rt.costs().msg_forward_overhead;
+    rt.engine().schedule(at, [rt = &rt, plan, child, relay_pe] {
+      dispatch_broadcast_copy(*rt, plan, child, nullptr, relay_pe);
+    });
+  }
 }
 
 void TaskContext::print(const std::string& text) {
@@ -112,7 +153,7 @@ void TaskContext::on_message(std::string type, Handler handler) {
 
 void TaskContext::record_accept(const Message& msg) {
   proc_->compute(rt_->costs().msg_accept_overhead + rt_->costs().heap_free);
-  rt_->heap_release(msg.heap_offset);
+  rt_->transport_.heap_release(msg.heap_offset);
   sender_ = msg.sender;
   ++rt_->stats_.messages_accepted;
   rt_->trace_event(trace::EventKind::msg_accept, self(), msg.sender, proc_->pe(),
@@ -233,7 +274,7 @@ std::optional<Message> TaskContext::wait_reply_for(std::uint64_t request_id,
         Message m = std::move(*it);
         q.erase(it);
         proc_->compute(rt_->costs().msg_accept_overhead + rt_->costs().heap_free);
-        rt_->heap_release(m.heap_offset);
+        rt_->transport_.heap_release(m.heap_offset);
         return m;
       }
     }
@@ -249,7 +290,7 @@ Message TaskContext::window_transact(const TaskId& service, const char* op,
   // replies queue until task end, where finish_task releases their storage.
   // Every attempt but the last posts a copy of the request.
   const int attempts =
-      rt_->faults_ != nullptr ? Runtime::kWindowRequestAttempts : 1;
+      rt_->recovery_.faults() != nullptr ? Recovery::kWindowRequestAttempts : 1;
   sim::Tick patience = rt_->cfg_.accept_default_timeout;
   for (int a = 1; a <= attempts; ++a, patience *= 2) {
     if (a > 1) ++rt_->stats_.window_retries;
@@ -282,14 +323,12 @@ void TaskContext::forcesplit(const std::function<void(ForceContext&)>& region) {
                    "members=" + std::to_string(n));
   proc_->compute(rt_->costs().forcesplit_per_member * n);
 
-  auto st = std::make_shared<ForceState>();
-  st->members = n;
-  st->rec = rec_;
-  st->procs.assign(static_cast<std::size_t>(n), nullptr);
+  const auto size = static_cast<std::size_t>(n);
+  auto st = std::make_shared<ForceState>(ForceState{
+      .members = n, .rec = rec_, .procs = std::vector<mmos::Proc*>(size),
+      .fanout = rt_->cfg_.collective_fanout, .nodes = std::vector<ForceState::TreeNode>(size),
+      .partial = std::vector<double>(size), .loops = {}});
   st->procs[0] = proc_;
-  st->fanout = rt_->cfg_.collective_fanout;
-  st->nodes.assign(static_cast<std::size_t>(n), ForceState::TreeNode{});
-  st->partial.assign(static_cast<std::size_t>(n), 0.0);
 
   std::vector<mmos::Proc*> members;
   for (int i = 2; i <= n; ++i) {
@@ -337,11 +376,7 @@ LocalArray& TaskContext::local_array(const std::string& name, int rows, int cols
   }
   const std::uint32_t id = rec_->next_array_id++;
   rec_->array_names[name] = id;
-  LocalArray& la = rec_->arrays[id];
-  la.id = id;
-  la.name = name;
-  la.data = Matrix(rows, cols);
-  return la;
+  return rec_->arrays[id] = LocalArray{id, name, Matrix(rows, cols)};
 }
 
 Matrix& TaskContext::array_data(const std::string& name) {
@@ -357,14 +392,8 @@ Window TaskContext::make_window(const std::string& array_name) const {
   if (it == rec_->array_names.end()) {
     throw WindowError("no local array '" + array_name + "'");
   }
-  const LocalArray& la = rec_->arrays.at(it->second);
-  Window w;
-  w.owner = rec_->id;
-  w.array = la.id;
-  w.rect = Rect{0, 0, la.data.rows(), la.data.cols()};
-  w.array_rows = la.data.rows();
-  w.array_cols = la.data.cols();
-  return w;
+  const Matrix& a = rec_->arrays.at(it->second).data;
+  return Window{rec_->id, it->second, Rect{0, 0, a.rows(), a.cols()}, a.rows(), a.cols()};
 }
 
 Window TaskContext::file_window(int cluster_number, const std::string& file_array) {

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -147,6 +148,17 @@ class TaskContext {
   /// The owner's task controller, or the file controller of a file window.
   [[nodiscard]] TaskId window_service(const Window& w) const;
   [[nodiscard]] TaskId resolve(const Dest& dest) const;
+
+  /// An in-flight TO ALL distribution tree (defined next to broadcast()).
+  struct BroadcastPlan;
+  /// Post the copy for tree position `pos` and schedule the position's
+  /// children. `sender_proc` is non-null only for the root's direct
+  /// children, which are dispatched from the sender's own PE (and may block
+  /// on a full heap there); relayed copies run as engine events.
+  static void dispatch_broadcast_copy(Runtime& rt,
+                                      const std::shared_ptr<BroadcastPlan>& plan,
+                                      std::size_t pos, mmos::Proc* sender_proc,
+                                      int via_pe = -1);
 
   Runtime* rt_;
   TaskRecord* rec_;

@@ -22,24 +22,24 @@ SharedBlock::SharedBlock(Runtime& rt, std::string name, std::size_t words)
 SharedBlock::~SharedBlock() { rt_->common_heap_->release(heap_offset_); }
 
 double SharedBlock::read(mmos::Proc& p, std::size_t idx) {
-  rt_->charge_shared(p, 8);
+  rt_->transport_.charge_shared(p, 8);
   return data_.at(idx);
 }
 
 void SharedBlock::write(mmos::Proc& p, std::size_t idx, double v) {
-  rt_->charge_shared(p, 8);
+  rt_->transport_.charge_shared(p, 8);
   data_.at(idx) = v;
 }
 
 void SharedBlock::charge_bulk(mmos::Proc& p, std::size_t words) {
-  rt_->charge_shared(p, words * 8);
+  rt_->transport_.charge_shared(p, words * 8);
 }
 
 // ---- LockVar ----
 
 void LockVar::acquire(mmos::Proc& p, const TaskRecord& rec) {
   p.compute(rt_->costs().lock_op);
-  rt_->charge_shared(p, 8);
+  rt_->transport_.charge_shared(p, 8);
   if (locked_) {
     ++contended_;
     waiters_.push_back(&p);
@@ -60,7 +60,7 @@ void LockVar::release(mmos::Proc& p, const TaskRecord& rec) {
     throw std::logic_error("LOCK " + name_ + " released by a non-owner");
   }
   p.compute(rt_->costs().lock_op);
-  rt_->charge_shared(p, 8);
+  rt_->transport_.charge_shared(p, 8);
   hand_off();
   rt_->trace_event(trace::EventKind::unlock, rec.id, {}, p.pe(), 0, name_);
 }
@@ -89,11 +89,7 @@ ForceState::SelfschedLoop& ForceState::loop(std::size_t occurrence,
   while (loops.size() <= occurrence) loops.push_back(nullptr);
   auto& slot = loops[occurrence];
   if (!slot) {
-    slot = std::make_unique<SelfschedLoop>();
-    slot->lo = lo;
-    slot->hi = hi;
-    slot->step = step;
-    slot->total = total;
+    slot = std::make_unique<SelfschedLoop>(SelfschedLoop{0, lo, hi, step, total});
   } else if (slot->total != total || slot->lo != lo || slot->hi != hi ||
              slot->step != step) {
     // Comparing totals alone would silently mispair two different source
@@ -176,7 +172,7 @@ double ForceContext::collective_sync(
     // released below may re-enter the next collective immediately, and its
     // first arrival signal must not be wiped by this episode's reset.
     for (auto& node : st_->nodes) node.arrived = 0;
-    rt_->charge_shared(*proc_, 8);  // generation publish: the one global bus write
+    rt_->transport_.charge_shared(*proc_, 8);  // generation publish: the one global bus write
     ++st_->barrier_generation;
   } else {
     // Signal the parent's locally-polled arrival counter. Wake the parent
@@ -184,7 +180,7 @@ double ForceContext::collective_sync(
     // wake a parent blocked elsewhere (e.g. inside the region body).
     const std::size_t parent = (p - 1) / k;
     mmos::Proc* pp = st_->procs[parent];
-    rt_->charge_signal(*proc_, pp != nullptr ? pp->pe() : proc_->pe());
+    rt_->transport_.charge_signal(*proc_, pp != nullptr ? pp->pe() : proc_->pe());
     ++st_->nodes[parent].arrived;
     if (st_->nodes[parent].gathering) st_->procs[parent]->wake();
     while (st_->barrier_generation == my_gen) proc_->block();
@@ -209,7 +205,7 @@ double ForceContext::collective_sync(
       for (std::size_t g = gfirst; g < gend; ++g) wave.push_back(g);
       continue;
     }
-    rt_->charge_signal(*proc_, cp->pe());
+    rt_->transport_.charge_signal(*proc_, cp->pe());
     cp->wake();
   }
   return contribute != nullptr ? st_->reduce_result : 0.0;
@@ -258,7 +254,7 @@ void ForceContext::selfsched(std::int64_t lo, std::int64_t hi, std::int64_t step
   while (true) {
     // Fetch-and-increment of the shared "next iteration" counter.
     proc_->compute(rt_->costs().lock_op);
-    rt_->charge_shared(*proc_, 8);
+    rt_->transport_.charge_shared(*proc_, 8);
     const std::int64_t k = loop.next++;
     if (k >= m) break;
     body(lo + k * step);

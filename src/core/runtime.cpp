@@ -26,7 +26,18 @@ const char* kill_result_name(KillResult r) {
 }
 
 Runtime::Runtime(mmos::System& sys, config::Configuration cfg)
-    : sys_(&sys), cfg_(std::move(cfg)) {}
+    : sys_(&sys),
+      cfg_(std::move(cfg)),
+      transport_(sys.machine(), cfg_, tracer_, stats_,
+                 {this,
+                  [](void* rt, Message&& msg, TaskId to, bool reply) {
+                    return static_cast<Runtime*>(rt)->deliver(std::move(msg), to, reply);
+                  },
+                  [](void* rt, TaskId from, TaskId to, const std::string& type, int n,
+                     const char* why) {
+                    static_cast<Runtime*>(rt)->surface_send_fail(from, to, type, n, why);
+                  }}),
+      recovery_(*this) {}
 
 Runtime::~Runtime() {
   // Task bodies capture `this`; unwind them before members are destroyed.
@@ -79,7 +90,6 @@ void Runtime::boot() {
   shared.allocate_static(kGlobalTableBytes, "system-tables");
   shared.allocate_static(cfg_.message_heap_bytes, "message-heap");
   shared.allocate_static(kCommonAreaBytes, "shared-common");
-  msg_heap_ = std::make_unique<flex::SharedHeap>(cfg_.message_heap_bytes);
   common_heap_ = std::make_unique<flex::SharedHeap>(kCommonAreaBytes);
 
   // Per-PE run-time data for every PE the configuration touches.
@@ -130,225 +140,9 @@ void Runtime::boot() {
 
   for (auto& cl : clusters_) start_controllers(*cl);
 
-  arm_faults();
+  recovery_.arm_faults();
   deadline_ = sys_->engine().now() + cfg_.time_limit;
   booted_ = true;
-}
-
-// ---- fault injection ----
-
-void Runtime::arm_faults() {
-  if (!cfg_.faults.any()) return;
-  faults_ = std::make_unique<flex::FaultInjector>(cfg_.faults);
-  sys_->machine().set_fault_injector(faults_.get());
-  // Under hier/numa, a partition between two *configured* clusters becomes a
-  // window on the backbone link joining their hardware clusters (located by
-  // each cluster's primary PE). A pair that shares a hardware cluster has no
-  // backbone link to sever — its window is inert, matching the shared-bus
-  // semantics where only cross-cluster traffic is droppable.
-  auto& ic = sys_->machine().interconnect();
-  if (ic.kind() != flex::Topology::shared && !cfg_.faults.bus_partitions.empty()) {
-    std::vector<flex::PartitionIndex::Window> links;
-    for (const auto& p : cfg_.faults.bus_partitions) {
-      const auto* ca = cfg_.find_cluster(p.cluster_a);
-      const auto* cb = cfg_.find_cluster(p.cluster_b);
-      if (ca == nullptr || cb == nullptr) continue;  // rejected by validate()
-      const int ha = ic.cluster_of(ca->primary_pe);
-      const int hb = ic.cluster_of(cb->primary_pe);
-      if (ha == hb) continue;
-      links.push_back({ha, hb, p.from, p.until});
-    }
-    faults_->set_backbone_links(std::move(links));
-  }
-  auto& eng = sys_->engine();
-  const sim::Tick now = eng.now();
-  for (const auto& h : cfg_.faults.pe_halts) {
-    eng.schedule(std::max(h.at, now), [this, pe = h.pe] { on_pe_halt(pe); });
-  }
-  for (const auto& w : cfg_.faults.heap_outages) {
-    eng.schedule(std::max(w.from, now), [this] {
-      msg_heap_->set_outage(true);
-      trace_event(trace::EventKind::fault, {}, {}, 0, 0, "heap-outage-begin");
-    });
-    eng.schedule(std::max(w.until, now), [this] {
-      msg_heap_->set_outage(false);
-      trace_event(trace::EventKind::fault, {}, {}, 0, 0, "heap-outage-end");
-      // Senders backing off against the outage re-check on their timeout;
-      // nothing to wake explicitly.
-    });
-  }
-  // The slowdown factor itself is sampled by Proc::compute straight from the
-  // injector; these events only make the window visible in the trace.
-  for (const auto& s : cfg_.faults.pe_slowdowns) {
-    eng.schedule(std::max(s.from, now), [this, s] {
-      trace_event(trace::EventKind::fault, {}, {}, s.pe, 0,
-                  "pe-slow-begin x" + std::to_string(s.factor));
-      console().write_line(sys_->engine().now(),
-                           "PISCES FAULT: PE " + std::to_string(s.pe) +
-                               " CLOCK DEGRADED");
-    });
-    eng.schedule(std::max(s.until, now), [this, pe = s.pe] {
-      trace_event(trace::EventKind::fault, {}, {}, pe, 0, "pe-slow-end");
-    });
-  }
-  // Likewise partitions: post() consults the injector per transfer.
-  for (const auto& p : cfg_.faults.bus_partitions) {
-    eng.schedule(std::max(p.from, now), [this, p] {
-      trace_event(trace::EventKind::fault, {}, {}, 0, 0,
-                  "bus-partition-begin " + std::to_string(p.cluster_a) + "|" +
-                      std::to_string(p.cluster_b));
-      console().write_line(sys_->engine().now(),
-                           "PISCES FAULT: CLUSTERS " +
-                               std::to_string(p.cluster_a) + " AND " +
-                               std::to_string(p.cluster_b) + " PARTITIONED");
-    });
-    eng.schedule(std::max(p.until, now), [this, p] {
-      trace_event(trace::EventKind::fault, {}, {}, 0, 0,
-                  "bus-partition-end " + std::to_string(p.cluster_a) + "|" +
-                      std::to_string(p.cluster_b));
-    });
-  }
-  for (const auto& r : cfg_.faults.pe_recoveries) {
-    eng.schedule(std::max(r.at, now), [this, pe = r.pe] { on_pe_recover(pe); });
-  }
-}
-
-void Runtime::on_pe_halt(int pe) {
-  if (faults_ == nullptr || faults_->pe_halted(pe)) return;
-  faults_->mark_halted(pe);
-  trace_event(trace::EventKind::fault, {}, {}, pe, 0, "pe-halt");
-  console().write_line(sys_->engine().now(),
-                       "PISCES FAULT: PE " + std::to_string(pe) + " HALTED");
-  for (auto& cl : clusters_) {
-    // A cluster whose primary PE died loses its controllers: mark it dead
-    // so ANY/OTHER placement routes around it. Held initiates migrate to a
-    // surviving cluster when the supervision layer asked for it; otherwise
-    // (or when nobody survives) they dead-letter.
-    if (cl->cfg.primary_pe == pe) {
-      cl->dead = true;
-      const TaskId dead_ctl = cl->controller_id();
-      for (auto& req : cl->pending) {
-        if (!migrate_initiate(dead_ctl, req.parent, pe, 0,
-                              "migrate-initiate " + req.tasktype,
-                              {Value(req.tasktype), Value::list(std::move(req.args)),
-                               Value(static_cast<std::int64_t>(req.tag))},
-                              stats_.initiates_migrated)) {
-          dead_letter(dead_ctl, req.parent, pe, 0, "_INITIATE " + req.tasktype);
-        }
-      }
-      cl->pending.clear();
-      reclaim_controllers(*cl, pe);
-    }
-    // A task with a force member on the dead PE can never pass its next
-    // barrier; abort the whole task so the surviving members unwind instead
-    // of wedging. (The lost member's process dies with the kernel below.)
-    for (auto& recp : cl->slots) {
-      TaskRecord& rec = *recp;
-      if (rec.state == TaskState::free_slot || rec.proc == nullptr) continue;
-      if (rec.pe == pe) continue;  // dies with its kernel anyway
-      for (auto* member : rec.force_members) {
-        if (member->pe() == pe) {
-          rec.proc->kill();
-          break;
-        }
-      }
-    }
-  }
-  // The watchdog sweep: the halted kernel kills every process it hosts;
-  // each task's exit callback runs finish_task, which reclaims the slot,
-  // releases queued-message heap storage, and notifies the parent.
-  sys_->kernel(pe).halt();
-  if (!sys_->kernel(pe).live_count_consistent()) {
-    throw std::logic_error("PE " + std::to_string(pe) +
-                           " live counter drifted after halt sweep");
-  }
-}
-
-void Runtime::reclaim_controllers(Cluster& cl, int pe) {
-  // Controllers have no exit callbacks (they never finish normally), so
-  // without this sweep their records would stay `running` with dead
-  // processes: posts to them would "deliver" into queues nobody drains and
-  // the heap storage would leak. Free the slots (ids stay, so stale sends
-  // dead-letter with the old id in the trace) and settle every queued
-  // message exactly once — migrated or dead-lettered.
-  for (int s = 0; s < kFirstUserSlot && s < static_cast<int>(cl.slots.size());
-       ++s) {
-    auto& rec = cl.slot(s);
-    if (rec.state == TaskState::free_slot) continue;
-    for (const Message& m : rec.in_queue) {
-      if (m.type != "_INITIATE" ||
-          !migrate_initiate(rec.id, m.sender, pe, m.seq,
-                            "migrate-message _INITIATE", m.args,
-                            stats_.messages_migrated)) {
-        dead_letter(rec.id, m.sender, pe, m.seq, m.type);
-      }
-      heap_release(m.heap_offset);
-    }
-    rec.in_queue.clear();
-    for (const Message& m : rec.replies) {
-      dead_letter(rec.id, m.sender, pe, m.seq, m.type);
-      heap_release(m.heap_offset);
-    }
-    rec.replies.clear();
-    rec.proc = nullptr;  // the process dies with the kernel
-    rec.state = TaskState::free_slot;
-  }
-}
-
-void Runtime::on_pe_recover(int pe) {
-  if (faults_ == nullptr || !faults_->pe_halted(pe)) return;
-  faults_->mark_recovered(pe);
-  trace_event(trace::EventKind::fault, {}, {}, pe, 0, "pe-recover");
-  console().write_line(sys_->engine().now(),
-                       "PISCES FAULT: PE " + std::to_string(pe) + " REJOINED");
-  sys_->kernel(pe).restart();
-  if (!sys_->kernel(pe).live_count_consistent()) {
-    throw std::logic_error("PE " + std::to_string(pe) +
-                           " live counter drifted across halt/recover");
-  }
-  // Clusters that lost their primary rejoin cold: fresh controllers with
-  // new unique ids. Taskids minted before the halt keep dead-lettering —
-  // the old incarnation's state is gone.
-  for (auto& cl : clusters_) {
-    if (cl->cfg.primary_pe == pe && cl->dead) {
-      cl->dead = false;
-      start_controllers(*cl);
-      trace_event(trace::EventKind::supervision, cl->controller_id(), {}, pe,
-                  0, "cluster-rejoin " + std::to_string(cl->cfg.number));
-      // Kick the fresh task controller: slots freed while the cluster was
-      // dead may already be waiting for work.
-      if (auto* ctl = cl->slot(kTaskControllerSlot).proc) ctl->wake();
-    }
-  }
-}
-
-int Runtime::pick_survivor(int dead_cluster) const {
-  const int c = resolve_where(Where::Any(), dead_cluster);
-  auto it = by_number_.find(c);
-  return (it != by_number_.end() && !it->second->dead) ? c : -1;
-}
-
-bool Runtime::migrate_initiate(TaskId dead_ctl, TaskId parent, int pe,
-                               std::uint64_t seq, const std::string& label,
-                               std::vector<Value> args, std::uint64_t& migrated) {
-  const int target = migrate_work_ ? pick_survivor(dead_ctl.cluster) : -1;
-  if (target < 0) return false;
-  trace_event(trace::EventKind::supervision, dead_ctl, parent, pe, seq,
-              label + " cluster=" + std::to_string(target));
-  // A false post already dead-lettered itself (heap denial).
-  if (post(parent, nullptr, by_number_[target]->controller_id(), "_INITIATE",
-           std::move(args))) {
-    ++migrated;
-  }
-  return true;
-}
-
-int Runtime::halted_pe_count(const Cluster& cl) const {
-  int n = pe_usable(cl.cfg.primary_pe) ? 0 : 1;
-  for (int pe : cl.cfg.secondary_pes) {
-    if (!pe_usable(pe)) ++n;
-  }
-  return n;
 }
 
 // ---- controllers ----
@@ -393,9 +187,9 @@ int Runtime::place_task_pe(Cluster& cl) {
       int best = -1;
       double best_load = 0.0;
       auto consider = [&](int pe) {
-        if (!pe_usable(pe)) return;
-        const double factor =
-            faults_ != nullptr ? faults_->slowdown_factor(pe, now) : 1.0;
+        if (!recovery_.pe_usable(pe)) return;
+        const auto* faults = recovery_.faults();
+        const double factor = faults != nullptr ? faults->slowdown_factor(pe, now) : 1.0;
         const double load =
             static_cast<double>(sys_->kernel(pe).live_count() + 1) * factor;
         if (best < 0 || load < best_load) {
@@ -413,7 +207,7 @@ int Runtime::place_task_pe(Cluster& cl) {
         const std::size_t k = cl.rr_next++ % n;
         const int pe = k == 0 ? cl.cfg.primary_pe
                               : cl.cfg.secondary_pes[k - 1];
-        if (pe_usable(pe)) return pe;
+        if (recovery_.pe_usable(pe)) return pe;
       }
       return cl.cfg.primary_pe;
     }
@@ -443,26 +237,21 @@ void Runtime::task_controller_body(Cluster& cl, TaskContext& ctx) {
     }
     Message m = ctx.wait_any_message();
     if (m.type == "_INITIATE") {
-      PendingInitiate req{m.args.at(0).as_str(), m.sender, m.args.at(1).as_list()};
-      if (m.args.size() > 2) {
-        req.tag = static_cast<std::uint64_t>(m.args.at(2).as_int());
+      const std::uint64_t tag =
+          m.args.size() > 2 ? static_cast<std::uint64_t>(m.args[2].as_int()) : 0;
+      PendingInitiate req{m.args.at(0).as_str(), m.sender, m.args.at(1).as_list(), tag};
+      if (cl.free_slots.empty()) {
+        cl.pending.push_back(std::move(req));
+        ++stats_.initiates_held;
+      } else {
+        start_task(cl, ctx, std::move(req));
       }
-      handle_initiate(cl, ctx, std::move(req));
     } else if (m.type == "_WINREAD" || m.type == "_WINWRITE") {
       serve_window(ctx, m);
     } else {
       ++stats_.controller_unknown_messages;
     }
   }
-}
-
-void Runtime::handle_initiate(Cluster& cl, TaskContext& ctl, PendingInitiate req) {
-  if (cl.free_slots.empty()) {
-    cl.pending.push_back(std::move(req));
-    ++stats_.initiates_held;
-    return;
-  }
-  start_task(cl, ctl, std::move(req));
 }
 
 void Runtime::start_task(Cluster& cl, TaskContext& ctl, PendingInitiate req) {
@@ -498,8 +287,8 @@ void Runtime::start_task(Cluster& cl, TaskContext& ctl, PendingInitiate req) {
   rec.proc = &proc;
   proc.on_exit([this, &cl, slot, id] { finish_task(cl, slot, id); });
   trace_event(trace::EventKind::task_init, id, req.parent, pe, 0, req.tasktype);
-  if (task_start_hook_) {
-    task_start_hook_({id, req.parent, req.tasktype, req.tag, pe});
+  if (observer_ != nullptr) {
+    observer_->on_task_start(id, req.parent, req.tasktype, req.tag);
   }
 }
 
@@ -512,21 +301,19 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
   const int pe = rec.pe;
   const std::string tasktype = rec.tasktype;
   // The supervision layer restarts from the original initiate arguments;
-  // capture them before the record is scrubbed below.
-  std::vector<Value> saved_args;
-  if (abnormal && termination_hook_) saved_args = rec.init_args;
+  // take them out (leaving the record's list empty) before the scrub below.
+  std::vector<Value> saved_args = std::move(rec.init_args);
   // Reap force members left behind by a kill mid-force.
   for (auto* member : rec.force_members) member->kill();
   rec.force_members.clear();
-  for (const Message& m : rec.in_queue) heap_release(m.heap_offset);
-  for (const Message& m : rec.replies) heap_release(m.heap_offset);
+  for (const Message& m : rec.in_queue) transport_.heap_release(m.heap_offset);
+  for (const Message& m : rec.replies) transport_.heap_release(m.heap_offset);
   rec.in_queue.clear();
   rec.replies.clear();
   rec.arrays.clear();
   rec.array_names.clear();
   rec.shared_blocks.clear();  // frees the SHARED COMMON area
   rec.locks.clear();
-  rec.init_args.clear();
   if (abnormal) ++stats_.tasks_killed;
   rec.proc = nullptr;
   rec.state = TaskState::free_slot;
@@ -537,8 +324,7 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
     // child's taskid — first-class data — so parents can react in ACCEPT
     // handlers). Posted after the slot is reclaimed so a parent reacting
     // immediately sees the freed slot.
-    const std::string reason =
-        (faults_ != nullptr && faults_->pe_halted(pe)) ? "pe-halt" : "killed";
+    const std::string reason = recovery_.pe_usable(pe) ? "killed" : "pe-halt";
     trace_event(trace::EventKind::child_term, id, parent, pe, 0, reason);
     // Only a parent that can still consume its in-queue gets the
     // notification. A parent whose record survives but whose process was
@@ -550,24 +336,22 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
     const bool parent_viable = prec != nullptr && prec->proc != nullptr &&
                                !prec->proc->finished() &&
                                !prec->proc->was_killed() &&
-                               pe_usable(prec->pe);
+                               recovery_.pe_usable(prec->pe);
     if (parent_viable) {
       ++stats_.childterms_posted;
       post(id, nullptr, parent, "_CHILDTERM", {Value(id), Value(reason)});
     } else if (parent.valid()) {
       dead_letter(parent, id, pe, 0, "_CHILDTERM");
     }
-    if (termination_hook_) {
-      termination_hook_({id, parent, tasktype, std::move(saved_args), pe,
-                         reason});
+    if (observer_ != nullptr) {
+      observer_->on_termination(id, parent, tasktype, saved_args);
     }
   }
   // Wake the cluster's task controller so held initiates can proceed.
   if (auto* ctl = cl.slot(kTaskControllerSlot).proc) ctl->wake();
 }
 
-void Runtime::user_controller_body(Cluster& cl, TaskContext& ctx) {
-  (void)cl;
+void Runtime::user_controller_body(Cluster& /*cl*/, TaskContext& ctx) {
   while (true) {
     Message m = ctx.wait_any_message();
     std::string text;
@@ -643,7 +427,7 @@ void Runtime::serve_window(TaskContext& ctl, const Message& m) {
   // When the owner's task was placed on another PE, the controller pulls
   // the window across the bus instead of out of its own local memory.
   if (owner->pe != ctl.proc().pe()) {
-    charge_transfer(ctl.proc(), w.bytes(), owner->pe, ctl.proc().pe());
+    transport_.charge_transfer(ctl.proc(), w.bytes(), owner->pe, ctl.proc().pe());
   } else {
     ctl.proc().compute(static_cast<sim::Tick>(w.elements()) * costs().local_access);
   }
@@ -682,30 +466,24 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
       refuse_window(ctl, m, "no file array '" + name + "'");
       return;
     }
-    auto [it, inserted] = cl.file_array_ids.try_emplace(name, cl.next_file_array_id);
-    if (inserted) {
-      cl.file_array_names[cl.next_file_array_id] = name;
-      ++cl.next_file_array_id;
-    }
+    // File array ids count from 1 in the order the arrays were first named.
+    const auto next_id = static_cast<std::uint32_t>(cl.file_array_names.size() + 1);
+    auto [it, inserted] = cl.file_array_ids.try_emplace(name, next_id);
+    if (inserted) cl.file_array_names.push_back(name);
     const Matrix& arr = cl.files->get(name);
-    Window w;
-    w.owner = fc_id;
-    w.array = it->second;
-    w.rect = Rect{0, 0, arr.rows(), arr.cols()};
-    w.array_rows = arr.rows();
-    w.array_cols = arr.cols();
+    const Window w{fc_id, it->second, Rect{0, 0, arr.rows(), arr.cols()}, arr.rows(),
+                   arr.cols()};
     post(fc_id, &ctl.proc(), requester, "_FWINDATA", {Value(rid), Value(w)},
          /*to_reply_queue=*/true);
     return;
   }
 
   const Window w = m.args.at(1).as_window();
-  auto name_it = cl.file_array_names.find(w.array);
-  if (name_it == cl.file_array_names.end()) {
+  if (w.array < 1 || w.array > cl.file_array_names.size()) {
     refuse_window(ctl, m, "unknown file array id " + std::to_string(w.array));
     return;
   }
-  const std::string name = name_it->second;
+  const std::string name = cl.file_array_names[w.array - 1];
   if (refuse_misfit(ctl, m, w, cl.files->get(name), "file array")) return;
   const bool is_write = m.type == "_WINWRITE";
   std::vector<double> write_data;
@@ -722,13 +500,14 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
   // Fault injection: each pass over the platter may fail; a failed pass
   // still occupied the disk, and the bounded retry re-runs the transfer.
   bool io_failed = false;
-  if (faults_ != nullptr && faults_->plan().disk_error > 0.0) {
+  if (auto* faults = recovery_.faults();
+      faults != nullptr && faults->plan().disk_error > 0.0) {
     int attempts = 1;
-    while (faults_->next_disk_error()) {
+    while (faults->next_disk_error()) {
       disk.note_io_error();
       trace_event(trace::EventKind::fault, requester, fc_id, cl.disk_pe, 0,
                   "disk-error " + name);
-      if (attempts >= kDiskIoAttempts) {
+      if (attempts >= Recovery::kDiskIoAttempts) {
         io_failed = true;
         break;
       }
@@ -744,135 +523,27 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
   sys_->engine().schedule(done, [this, clp, name, rect = w.rect, rid, requester,
                                  fc_id, io_failed, is_write,
                                  data = std::move(write_data)] {
+    std::vector<Value> reply{Value(rid)};
+    const char* type = "_WINACK";
     if (io_failed) {
-      post(fc_id, nullptr, requester, "_WINERR",
-           {Value(rid), Value("disk I/O error on '" + name + "'")},
-           /*to_reply_queue=*/true);
+      type = "_WINERR";
+      reply.emplace_back("disk I/O error on '" + name + "'");
     } else if (is_write) {
       Matrix part(rect.rows, rect.cols);
       part.data() = data;
       clp->files->write_rect(name, rect, part);
       ++stats_.window_writes;
-      post(fc_id, nullptr, requester, "_WINACK", {Value(rid)},
-           /*to_reply_queue=*/true);
     } else {
+      type = "_WINDATA";
       Matrix part = clp->files->read_rect(name, rect);
       ++stats_.window_reads;
-      post(fc_id, nullptr, requester, "_WINDATA",
-           {Value(rid), Value(std::move(part.data()))},
-           /*to_reply_queue=*/true);
+      reply.emplace_back(std::move(part.data()));
     }
+    post(fc_id, nullptr, requester, type, std::move(reply), /*to_reply_queue=*/true);
   });
 }
 
-// ---- messaging core ----
-
-void Runtime::charge_shared(mmos::Proc& proc, std::size_t bytes) {
-  const sim::Tick now = sys_->engine().now();
-  const sim::Tick done = sys_->machine().shared_transfer(now, bytes, proc.pe());
-  if (done > now) proc.compute(done - now);
-}
-
-void Runtime::charge_transfer(mmos::Proc& proc, std::size_t bytes, int from_pe,
-                              int to_pe) {
-  const sim::Tick now = sys_->engine().now();
-  const sim::Tick done =
-      sys_->machine().message_transfer(now, bytes, from_pe, to_pe);
-  if (done > now) proc.compute(done - now);
-}
-
-void Runtime::charge_signal(mmos::Proc& proc, int peer_pe) {
-  proc.compute(costs().collective_signal);
-  if (sys_->machine().interconnect().crosses_backbone(proc.pe(), peer_pe)) {
-    // The locally-polled flag lives in the peer's cluster: publishing it
-    // moves one 8-byte word across the backbone route.
-    charge_transfer(proc, 8, proc.pe(), peer_pe);
-  }
-}
-
-std::size_t Runtime::heap_allocate_blocking(std::size_t bytes, mmos::Proc* proc,
-                                            sim::Tick deadline) {
-  bool retried = false;
-  int outage_denials = 0;
-  sim::Tick backoff = kHeapOutageBackoffTicks;
-  // Drop this proc's own entry from the waiter FIFO (deadline give-up path:
-  // a later heap_release must not wake a sender that already moved on).
-  auto leave_queue = [this, proc] {
-    for (auto it = heap_waiters_.begin(); it != heap_waiters_.end(); ++it) {
-      if (it->proc == proc) {
-        heap_waiters_.erase(it);
-        break;
-      }
-    }
-  };
-  while (true) {
-    if (deadline > 0 && sys_->engine().now() >= deadline) return kDeadline;
-    if (msg_heap_->outage()) {
-      // Injected allocation-failure window: bounded retry with exponential
-      // backoff, then a typed failure (the caller drops the message and
-      // reports a failed send rather than blocking forever).
-      if (faults_ != nullptr) ++faults_->stats().heap_denials;
-      if (proc == nullptr || ++outage_denials >= kHeapOutageAttempts) {
-        return kNoSpace;
-      }
-      sim::Tick until = sys_->engine().now() + backoff;
-      if (deadline > 0) until = std::min(until, deadline);
-      (void)proc->block_with_timeout(until);
-      backoff *= 2;
-      continue;
-    }
-    auto off = msg_heap_->allocate(bytes);
-    if (off.has_value()) return *off;
-    if (proc == nullptr) return kNoSpace;
-    ++stats_.heap_full_waits;
-    const std::size_t need =
-        flex::SharedHeap::round_up(std::max<std::size_t>(bytes, 1));
-    // First wait joins the back of the FIFO; a sender whose retry lost to
-    // fragmentation goes back to the front so it keeps its turn.
-    if (retried) {
-      heap_waiters_.push_front(HeapWaiter{proc, need});
-    } else {
-      heap_waiters_.push_back(HeapWaiter{proc, need});
-    }
-    retried = true;
-    if (proc->block_with_timeout(deadline > 0 ? deadline : sim::kForever)) {
-      leave_queue();
-      return kDeadline;
-    }
-  }
-}
-
-void Runtime::heap_release(std::size_t offset) {
-  msg_heap_->release(offset);
-  if (heap_waiters_.empty()) return;
-  // Wake blocked senders first-fit in FIFO order: the oldest waiter whose
-  // block fits is woken, then the next, while recovered space (bounded by
-  // the total free bytes) plausibly remains. Everyone left keeps waiting for
-  // the next release instead of stampeding awake only to re-block.
-  const std::size_t largest = msg_heap_->largest_free_block();
-  std::size_t budget = msg_heap_->capacity() - msg_heap_->in_use();
-  for (auto it = heap_waiters_.begin(); it != heap_waiters_.end();) {
-    if (it->proc == nullptr || it->proc->finished()) {
-      it = heap_waiters_.erase(it);
-      continue;
-    }
-    if (it->need <= largest && it->need <= budget) {
-      budget -= it->need;
-      it->proc->wake();
-      it = heap_waiters_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void Runtime::stamp(Message& msg, std::size_t offset, std::size_t bytes) {
-  msg.heap_offset = offset;
-  msg.heap_bytes = bytes;
-  msg.sent_at = msg.arrived_at = sys_->engine().now();
-  msg.seq = ++next_msg_seq_;
-  stats_.message_bytes_sent += bytes;
-}
+// ---- the message path: post -> transport -> deliver ----
 
 bool Runtime::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
                    std::string type, std::vector<Value> args,
@@ -888,307 +559,32 @@ bool Runtime::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
     return false;
   }
   Message msg{std::move(type), from, std::move(args)};
-  const std::size_t bytes = msg.encoded_size();
-  // An optional send deadline bounds the worst-case wait on a full heap:
-  // bounded blocking is part of the reliable contract (_SENDFAIL instead of
-  // an indefinite stall).
-  const bool sequenced = cfg_.reliable.enabled && !reliable_exempt(msg.type);
-  const sim::Tick send_deadline =
-      sequenced && cfg_.reliable.send_deadline > 0
-          ? sys_->engine().now() + cfg_.reliable.send_deadline
-          : 0;
-  const std::size_t off = heap_allocate_blocking(bytes, sender_proc, send_deadline);
-  if (off == kDeadline) {
+  const std::size_t off = transport_.heap_allocate_blocking(msg, sender_proc);
+  if (off == Transport::kDeadline) {
     surface_send_fail(from, to, msg.type, 0, "deadline");
     return false;
   }
-  if (off == kNoSpace) {
+  if (off == Transport::kNoSpace) {
     dead_letter(to, from, 0, 0, msg.type + " (no message storage)");
     return false;
   }
-  int sender_pe = 0;
+  Route route;
   if (sender_proc != nullptr) {
-    sender_pe = sender_proc->pe();
+    route.sender_pe = sender_proc->pe();
   } else if (TaskRecord* sender = live_record(from)) {
-    sender_pe = sender->pe;  // proc-less sends (environment) still have a home PE
+    route.sender_pe = sender->pe;  // proc-less sends (environment) still have a home PE
   }
   // The transfer is billed from the PE that physically re-issues it — the
   // relay's PE for broadcast tree hops — while the trace keeps the logical
   // sender. The receiver may have died while the sender blocked on the
   // heap, so re-resolve; the copy still travels to where the task lived.
-  const int bill_from = via_pe >= 0 ? via_pe : sender_pe;
-  int dest_pe = bill_from;
-  if (TaskRecord* dest = live_record(to)) dest_pe = dest->pe;
-  if (sender_proc != nullptr) {
-    sender_proc->compute(costs().heap_alloc);
-    charge_transfer(*sender_proc, bytes, bill_from, dest_pe);
-  } else {
-    sys_->machine().message_transfer(sys_->engine().now(), bytes, bill_from,
-                                     dest_pe);
-  }
-  stamp(msg, off, bytes);
-  ++stats_.messages_sent;
-  trace_event(trace::EventKind::msg_send, from, to, sender_pe, msg.seq, msg.type);
-
-  // Reliable transport: stamp the copy with its channel sequence and hold
-  // it in the retransmit buffer before it faces the bus, so a first copy
-  // lost to the fault gauntlet below is already covered by a timer.
-  if (sequenced) register_reliable(msg, from, to, to_reply_queue, bill_from, dest_pe);
-
-  if (auto consumed = apply_bus_faults(msg, from, to, to_reply_queue,
-                                       sender_pe, bill_from, dest_pe);
-      consumed.has_value()) {
-    return *consumed;
-  }
-  return deliver(std::move(msg), to, to_reply_queue);
+  route.from = via_pe >= 0 ? via_pe : route.sender_pe;
+  route.to = route.from;
+  if (TaskRecord* dest = live_record(to)) route.to = dest->pe;
+  return transport_.send(std::move(msg), off, sender_proc, to, to_reply_queue, route);
 }
 
-std::optional<bool> Runtime::apply_bus_faults(Message& msg, TaskId from,
-                                              TaskId to, bool to_reply_queue,
-                                              int sender_pe, int bill_from,
-                                              int dest_pe) {
-  // Fault injection. Supervision control traffic (_CHILDTERM, _SUPFAIL) and
-  // the transport's own _SENDFAIL ride a reliable out-of-band channel: the
-  // recovery guarantee is that a parent always learns its child died, and
-  // the supervisor's escalation always reaches a live ancestor — no bus
-  // fault or partition touches them.
-  if (faults_ == nullptr || reliable_exempt(msg.type)) return std::nullopt;
-  const std::size_t bytes = msg.heap_bytes;
-  const sim::Tick now = sys_->engine().now();
-  auto& ic = sys_->machine().interconnect();
-  // A partition window refuses the transfer outright (checked before the
-  // per-transfer fault draw: a partitioned bus never arbitrates the
-  // message at all). The transfer was already charged — the copy is
-  // dropped at the cluster boundary, like a lost one. Under the shared
-  // topology the window severs traffic between the two *configured*
-  // clusters; under hier/numa it severs the backbone link between their
-  // hardware clusters, so only routes that actually cross that link are
-  // affected.
-  const bool partition_hit =
-      ic.kind() == flex::Topology::shared
-          ? (from.cluster != to.cluster &&
-             faults_->partitioned(from.cluster, to.cluster, now))
-          : (ic.crosses_backbone(bill_from, dest_pe) &&
-             faults_->backbone_partitioned(ic.cluster_of(bill_from),
-                                           ic.cluster_of(dest_pe), now));
-  if (partition_hit) ++faults_->stats().bus_partition_drops;
-  switch (partition_hit ? flex::BusFault::lose : faults_->next_bus_fault()) {
-    case flex::BusFault::lose:
-      // The transfer happened (and was charged) but the message vanishes.
-      // Asynchronous sends don't learn about the loss; the send succeeds.
-      // (Under the reliable layer the retransmit timer covers the copy.)
-      if (msg.chan_seq != 0) ++stats_.reliable_copies_lost;
-      trace_event(trace::EventKind::fault, from, to, sender_pe, msg.seq,
-                  (partition_hit ? "bus-partition " : "bus-lose ") + msg.type);
-      ic.note_faulted(bill_from, dest_pe);
-      heap_release(msg.heap_offset);
-      return true;
-    case flex::BusFault::duplicate:
-      if (auto doff = msg_heap_->allocate(bytes); doff.has_value()) {
-        trace_event(trace::EventKind::fault, from, to, sender_pe, msg.seq,
-                    "bus-dup " + msg.type);
-        ic.note_faulted(bill_from, dest_pe);
-        sys_->machine().message_transfer(now, bytes, bill_from, dest_pe);
-        Message dup = msg;  // same chan_seq: the receiver suppresses one copy
-        dup.heap_offset = *doff;
-        dup.seq = ++next_msg_seq_;
-        if (dup.chan_seq != 0) ++stats_.reliable_copies_sent;
-        const bool ok = deliver(std::move(msg), to, to_reply_queue);
-        (void)deliver(std::move(dup), to, to_reply_queue);
-        return ok;
-      }
-      break;  // no storage for the ghost copy: deliver just the original
-    case flex::BusFault::delay: {
-      const sim::Tick delay = cfg_.faults.bus_delay_ticks;
-      trace_event(trace::EventKind::fault, from, to, sender_pe, msg.seq,
-                  "bus-delay " + msg.type);
-      ic.stall(now, bill_from, dest_pe, delay);
-      sys_->engine().schedule(
-          now + delay, [this, m = std::move(msg), to, to_reply_queue]() mutable {
-            (void)deliver(std::move(m), to, to_reply_queue);
-          });
-      return true;
-    }
-    case flex::BusFault::none:
-      break;
-  }
-  return std::nullopt;
-}
-
-// ---- reliable transport ----
-
-bool Runtime::reliable_exempt(const std::string& type) {
-  return type == "_CHILDTERM" || type == "_SUPFAIL" || type == "_SENDFAIL";
-}
-
-bool Runtime::channel_settled(const ReliableChannel& ch, std::uint64_t seq) {
-  return seq <= ch.settled_to || ch.settled_above.count(seq) != 0;
-}
-
-void Runtime::channel_settle(ReliableChannel& ch, std::uint64_t seq) {
-  if (seq == ch.settled_to + 1) {
-    ch.settled_to = seq;
-    // Absorb any out-of-order settles that now extend the watermark.
-    auto it = ch.settled_above.begin();
-    while (it != ch.settled_above.end() && *it == ch.settled_to + 1) {
-      ch.settled_to = *it;
-      it = ch.settled_above.erase(it);
-    }
-  } else {
-    ch.settled_above.insert(seq);
-  }
-}
-
-sim::Tick Runtime::reliable_backoff(int attempt) const {
-  const auto& r = cfg_.reliable;
-  return sim::capped_backoff(r.backoff_base, r.backoff_factor, r.backoff_cap, attempt);
-}
-
-void Runtime::register_reliable(Message& msg, TaskId from, TaskId to,
-                                bool to_reply_queue, int bill_from,
-                                int dest_pe) {
-  const ChannelKey key{bill_from, dest_pe};
-  auto& ch = reliable_channels_[key];
-  msg.chan_seq = ++ch.next_seq;
-  msg.chan_from = bill_from;
-  msg.chan_to = dest_pe;
-  ++stats_.reliable_sends;
-  ++stats_.reliable_copies_sent;
-  ReliableChannel::Pending p;
-  p.from = from;
-  p.to = to;
-  p.type = msg.type;
-  p.args = msg.args;  // retransmissions rebuild the copy from this prototype
-  p.to_reply_queue = to_reply_queue;
-  if (cfg_.reliable.send_deadline > 0) {
-    p.deadline = sys_->engine().now() + cfg_.reliable.send_deadline;
-  }
-  ch.unacked.emplace(msg.chan_seq, std::move(p));
-  schedule_retransmit(key, msg.chan_seq, reliable_backoff(1));
-}
-
-void Runtime::schedule_retransmit(ChannelKey key, std::uint64_t seq,
-                                  sim::Tick delay) {
-  sys_->engine().schedule(sys_->engine().now() + delay,
-                          [this, key, seq] { retransmit_fire(key, seq); });
-}
-
-void Runtime::retransmit_fire(ChannelKey key, std::uint64_t seq) {
-  auto chit = reliable_channels_.find(key);
-  if (chit == reliable_channels_.end()) return;
-  auto& ch = chit->second;
-  const auto it = ch.unacked.find(seq);
-  if (it == ch.unacked.end()) return;  // acked meanwhile: timer no-ops
-  auto& p = it->second;
-  const sim::Tick now = sys_->engine().now();
-  const char* give_up = p.deadline > 0 && now >= p.deadline ? "deadline"
-                        : p.attempts >= cfg_.reliable.max_retries ? "retries"
-                                                                  : nullptr;
-  if (give_up != nullptr) {
-    const ReliableChannel::Pending gone = std::move(p);
-    ch.unacked.erase(it);
-    surface_send_fail(gone.from, gone.to, gone.type, gone.attempts, give_up);
-    return;
-  }
-  ++p.attempts;
-  Message m{p.type, p.from, p.args};
-  const std::size_t bytes = m.encoded_size();
-  // Timers run proc-less, so allocation cannot block; a full heap costs the
-  // attempt (the budget still bounds total work under a persistent outage)
-  // and the next timer tries again.
-  const auto off = msg_heap_->allocate(bytes);
-  if (!off.has_value()) {
-    schedule_retransmit(key, seq, reliable_backoff(p.attempts + 1));
-    return;
-  }
-  stamp(m, *off, bytes);
-  m.chan_seq = seq;
-  m.chan_from = key.first;
-  m.chan_to = key.second;
-  ++stats_.retransmits;
-  ++stats_.reliable_copies_sent;
-  trace_event(trace::EventKind::retransmit, p.from, p.to, key.first, m.seq,
-              m.type + " #" + std::to_string(p.attempts));
-  sys_->machine().message_transfer(now, bytes, key.first, key.second);
-  const TaskId to = p.to;
-  const bool to_reply = p.to_reply_queue;
-  // apply_bus_faults / deliver may mutate the channel map (acks, settles),
-  // so `p`/`it` must not be touched past this point.
-  if (auto consumed = apply_bus_faults(m, m.sender, to, to_reply, key.first,
-                                       key.first, key.second);
-      !consumed.has_value()) {
-    (void)deliver(std::move(m), to, to_reply);
-  }
-  auto reit = reliable_channels_.find(key);
-  if (reit == reliable_channels_.end()) return;
-  const auto pit = reit->second.unacked.find(seq);
-  if (pit == reit->second.unacked.end()) return;  // settled by this very copy
-  schedule_retransmit(key, seq, reliable_backoff(pit->second.attempts + 1));
-}
-
-void Runtime::surface_send_fail(TaskId from, TaskId to, const std::string& type,
-                                int attempts, const char* reason) {
-  ++stats_.send_failures;
-  // The typed failure rides the same out-of-band path as _CHILDTERM: the
-  // sender must learn the transport gave up even under the faults that
-  // caused the give-up.
-  (void)post(to, nullptr, from, "_SENDFAIL",
-             {Value(type), Value(to), Value(static_cast<std::int64_t>(attempts)),
-              Value(std::string(reason))});
-  if (send_fail_hook_) send_fail_hook_({from, to, type, attempts, reason});
-}
-
-void Runtime::schedule_ack_flush(ChannelKey key) {
-  auto& ch = reliable_channels_[key];
-  if (ch.ack_pending) return;
-  ch.ack_pending = true;
-  sys_->engine().schedule(sys_->engine().now() + cfg_.reliable.ack_flush_ticks,
-                          [this, key] { flush_acks(key); });
-}
-
-void Runtime::flush_acks(ChannelKey key) {
-  auto& ch = reliable_channels_[key];
-  ch.ack_pending = false;
-  // One cumulative ack summarises every settled sequence, billed as an
-  // 8-byte control word on the reverse path. Acks are fault-exempt (like
-  // _CHILDTERM): losing one would only cause benign retransmissions, and
-  // the exemption keeps the per-transfer fault-draw count a pure function
-  // of application traffic.
-  sys_->machine().message_transfer(sys_->engine().now(), 8, key.second,
-                                   key.first);
-  ++stats_.acks_sent;
-  trace_event(trace::EventKind::ack, {}, {}, key.second, ch.settled_to,
-              "chan " + std::to_string(key.first) + "->" +
-                  std::to_string(key.second));
-  for (auto it = ch.unacked.begin(); it != ch.unacked.end();) {
-    if (channel_settled(ch, it->first)) {
-      it = ch.unacked.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-bool Runtime::deliver(Message msg, TaskId to, bool to_reply_queue) {
-  // Sequenced copies pass the channel's receive filter first: any arrival
-  // triggers an (eventual) cumulative ack, and a sequence that already
-  // settled — delivered or dead-lettered once — is suppressed as a
-  // duplicate, whether it came from a bus duplication or a retransmission
-  // racing the ack.
-  if (msg.chan_seq != 0) {
-    const ChannelKey key{msg.chan_from, msg.chan_to};
-    auto& ch = reliable_channels_[key];
-    ++stats_.reliable_copies_arrived;
-    schedule_ack_flush(key);
-    if (channel_settled(ch, msg.chan_seq)) {
-      ++stats_.dup_drops;
-      trace_event(trace::EventKind::dup_drop, to, msg.sender, msg.chan_to,
-                  msg.seq, msg.type);
-      heap_release(msg.heap_offset);
-      return true;
-    }
-    channel_settle(ch, msg.chan_seq);
-  }
+bool Runtime::deliver(Message&& msg, TaskId to, bool to_reply_queue) {
   // Re-check liveness at delivery time: the receiver may have terminated
   // while the sender waited for heap space or the bus, or while an injected
   // delay held the message in flight.
@@ -1196,7 +592,7 @@ bool Runtime::deliver(Message msg, TaskId to, bool to_reply_queue) {
   if (rec == nullptr) {
     if (msg.chan_seq != 0) ++stats_.reliable_dead_letters;
     dead_letter(to, msg.sender, 0, msg.seq, msg.type);
-    heap_release(msg.heap_offset);
+    transport_.heap_release(msg.heap_offset);
     return false;
   }
   if (msg.chan_seq != 0) ++stats_.reliable_delivered;
@@ -1210,46 +606,16 @@ bool Runtime::deliver(Message msg, TaskId to, bool to_reply_queue) {
   return true;
 }
 
-void Runtime::dispatch_broadcast_copy(const std::shared_ptr<BroadcastPlan>& plan,
-                                      std::size_t pos, mmos::Proc* sender_proc,
-                                      int via_pe) {
-  if (post(plan->origin, sender_proc, plan->targets[pos - 1], plan->type,
-           plan->args, /*to_reply_queue=*/false, via_pe)) {
-    ++stats_.broadcast_copies;
-  }
-  // Forward regardless of this copy's own fate (dead letter, lost on the
-  // bus): the subtree below `pos` was committed at snapshot time and each
-  // target must get exactly one dispatch.
-  schedule_broadcast_children(plan, pos);
-}
-
-void Runtime::schedule_broadcast_children(
-    const std::shared_ptr<BroadcastPlan>& plan, std::size_t pos) {
-  const std::size_t n = plan->targets.size();
-  const std::size_t k = static_cast<std::size_t>(plan->fanout);
-  const sim::Tick now = sys_->engine().now();
-  // Relayed copies are re-issued from the PE the copy for `pos` landed on,
-  // so the hop is billed from the relay's cluster (the origin stays the
-  // traced sender). Position 0 is the root: its children bill from the
-  // origin normally.
-  int via_pe = -1;
-  if (pos > 0) {
-    if (TaskRecord* relay = live_record(plan->targets[pos - 1])) {
-      via_pe = relay->pe;
-    }
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t child = k * pos + 1 + j;
-    if (child > n) break;
-    // The relay PE re-issues its children's copies one after another, each
-    // costing one forward overhead; sibling relays elsewhere run in parallel
-    // and only their bus transfers serialize (inside post -> shared_transfer).
-    const sim::Tick at =
-        now + static_cast<sim::Tick>(j + 1) * costs().msg_forward_overhead;
-    sys_->engine().schedule(at, [this, plan, child, via_pe] {
-      dispatch_broadcast_copy(plan, child, nullptr, via_pe);
-    });
-  }
+void Runtime::surface_send_fail(TaskId from, TaskId to, const std::string& type,
+                                int attempts, const char* reason) {
+  ++stats_.send_failures;
+  // The typed failure rides the same out-of-band path as _CHILDTERM: the
+  // sender must learn the transport gave up even under the faults that
+  // caused the give-up.
+  (void)post(to, nullptr, from, "_SENDFAIL",
+             {Value(type), Value(to), Value(static_cast<std::int64_t>(attempts)),
+              Value(std::string(reason))});
+  if (observer_ != nullptr) observer_->on_send_fail(from, to, type, attempts, reason);
 }
 
 int Runtime::resolve_where(const Where& where, int my_cluster) const {
@@ -1283,7 +649,8 @@ int Runtime::resolve_where(const Where& where, int my_cluster) const {
         if (cl->dead) continue;  // primary PE halted: nobody to serve it
         const int f = cl->free_user_slots();
         const std::size_t backlog = cl->pending.size();
-        const int halted = faults_ != nullptr ? halted_pe_count(*cl) : 0;
+        const int halted =
+            recovery_.faults() != nullptr ? recovery_.halted_pe_count(*cl) : 0;
         if (f > best_free ||
             (f == best_free &&
              (backlog < best_backlog ||
@@ -1316,18 +683,15 @@ TaskRecord* Runtime::live_record(TaskId id) {
 void Runtime::user_initiate(int cluster, std::string tasktype,
                             std::vector<Value> args) {
   if (!booted_) throw std::logic_error("user_initiate before boot");
-  auto it = by_number_.find(cluster);
-  if (it == by_number_.end()) {
-    throw std::out_of_range("no cluster " + std::to_string(cluster));
-  }
-  post(user_controller_id(), nullptr, it->second->controller_id(), "_INITIATE",
+  const TaskId controller = Runtime::cluster(cluster).controller_id();
+  post(user_controller_id(), nullptr, controller, "_INITIATE",
        {Value(std::move(tasktype)), Value::list(std::move(args))});
 }
 
 bool Runtime::supervised_initiate(std::string tasktype, TaskId parent,
                                   std::vector<Value> args, std::uint64_t tag) {
   if (!booted_) throw std::logic_error("supervised_initiate before boot");
-  const int target = pick_survivor(clusters_.front()->cfg.number);
+  const int target = recovery_.pick_survivor(clusters_.front()->cfg.number);
   if (target < 0) {
     dead_letter({}, parent, 0, 0, "_INITIATE " + tasktype + " (no live cluster)");
     return false;
@@ -1361,7 +725,7 @@ int Runtime::delete_messages(TaskId id, const std::string& type) {
   int deleted = 0;
   for (auto it = rec->in_queue.begin(); it != rec->in_queue.end();) {
     if (type.empty() || it->type == type) {
-      heap_release(it->heap_offset);
+      transport_.heap_release(it->heap_offset);
       it = rec->in_queue.erase(it);
       ++deleted;
     } else {
@@ -1401,14 +765,8 @@ std::vector<Runtime::TaskInfo> Runtime::running_tasks() const {
   for (const auto& cl : clusters_) {
     for (const auto& rec : cl->slots) {
       if (rec->state == TaskState::free_slot) continue;
-      TaskInfo info;
-      info.id = rec->id;
-      info.tasktype = rec->tasktype;
-      info.state = rec->state;
-      info.pe = rec->pe;
-      info.queue_length = rec->in_queue.size();
-      info.initiated_at = rec->initiated_at;
-      out.push_back(std::move(info));
+      out.push_back({rec->id, rec->tasktype, rec->state, rec->pe,
+                     rec->in_queue.size(), rec->initiated_at});
     }
   }
   return out;
@@ -1424,20 +782,6 @@ Cluster& Runtime::cluster(int number) {
 
 const TaskRecord* Runtime::find_record(TaskId id) const {
   return const_cast<Runtime*>(this)->live_record(id);
-}
-
-void Runtime::trace_event(trace::EventKind kind, TaskId task, TaskId other,
-                          int pe, std::uint64_t seq, const std::string& info) {
-  if (!tracer_.tally(kind, task)) return;
-  trace::Record r;
-  r.kind = kind;
-  r.at = sys_->engine().now();
-  r.pe = pe;
-  r.task = task;
-  r.other = other;
-  r.seq = seq;
-  r.info = info;
-  tracer_.emit(r);
 }
 
 }  // namespace pisces::rt

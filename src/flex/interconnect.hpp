@@ -52,20 +52,26 @@ struct TopologySpec {
   [[nodiscard]] int hw_cluster_count(int pe_count) const;
 };
 
-/// The pluggable interconnect: every transfer-billing path of the simulated
-/// machine (message sends, window copies, broadcast relay hops, force
-/// collective signals, fault stalls) routes through this interface, so the
-/// topology is a configuration choice rather than a property of the code.
-/// Mirrors how GASNet isolates transports behind conduits.
+/// The interconnect: every transfer-billing path of the simulated machine
+/// (message sends, window copies, broadcast relay hops, force collective
+/// signals, fault stalls) routes through it, so the topology is a
+/// configuration choice rather than a property of the code. Mirrors how
+/// GASNet isolates transports behind conduits.
 ///
-/// All implementations keep the Bus FIFO-resource semantics: a transfer
-/// occupies each bus on its route in sequence (store-and-forward), and
-/// transfers issued while a bus is busy queue behind it.
+/// Every topology is one bus per hardware cluster; hier and numa bridge the
+/// cluster buses with a backbone bus. The paper's machine (`shared`) is the
+/// case of one hardware cluster and no backbone: every PE on one FIFO bus
+/// to shared memory, billed byte-for-byte like the pre-topology
+/// Machine::shared_transfer path, so default configurations replay
+/// bit-identically. A transfer between PEs in the same hardware cluster
+/// occupies only that cluster's bus; a cross-cluster transfer
+/// store-and-forwards source bus -> backbone -> destination bus, occupying
+/// each bus in sequence, and transfers issued while a bus is busy queue
+/// behind it. `numa` additionally scales the backbone's per-word cost with
+/// the cluster distance, modelling tiered NUMA links.
 class Interconnect {
  public:
-  Interconnect(TopologySpec spec, int pe_count, const CostModel& costs)
-      : spec_(spec), pe_count_(pe_count), costs_(&costs) {}
-  virtual ~Interconnect() = default;
+  Interconnect(TopologySpec spec, int pe_count, const CostModel& costs);
   Interconnect(const Interconnect&) = delete;
   Interconnect& operator=(const Interconnect&) = delete;
 
@@ -74,35 +80,44 @@ class Interconnect {
 
   /// Hardware cluster of a PE (0-based; 0 for every PE under `shared`).
   /// Out-of-range PEs (0 = "environment", no home PE) clamp to cluster 0.
-  [[nodiscard]] virtual int cluster_of(int pe) const = 0;
-  [[nodiscard]] virtual int cluster_count() const = 0;
+  [[nodiscard]] int cluster_of(int pe) const {
+    // With one cluster (always so under `shared`, whose pes_per_cluster
+    // validate() does not check) nothing is divided.
+    if (pe < 1 || clusters_ == 1) return 0;
+    const int c = (pe - 1) / spec_.pes_per_cluster;
+    return c < clusters_ ? c : clusters_ - 1;
+  }
+  [[nodiscard]] int cluster_count() const { return clusters_; }
 
   /// True when a from->to transfer must cross the backbone (never for
   /// `shared`; the partition fault family windows exactly these routes).
   [[nodiscard]] bool crosses_backbone(int from_pe, int to_pe) const {
-    return kind() != Topology::shared && cluster_of(from_pe) != cluster_of(to_pe);
+    return cluster_of(from_pe) != cluster_of(to_pe);
   }
 
   /// One-endpoint shared-memory access by `pe` (heap writes, force flag
   /// publishes, window pulls): bills `pe`'s own bus only. Returns the
   /// completion tick.
-  virtual sim::Tick access(sim::Tick now, int pe, sim::Tick words) = 0;
+  sim::Tick access(sim::Tick now, int pe, sim::Tick words) {
+    return cluster_bus(pe).transfer(now, local_duration(words));
+  }
 
   /// PE-to-PE transfer of `words`: bills every bus on the route (source
   /// cluster bus, then backbone, then destination cluster bus when the
   /// endpoints live in different hardware clusters). Returns the completion
   /// tick of the last hop.
-  virtual sim::Tick transfer(sim::Tick now, int from_pe, int to_pe,
-                             sim::Tick words) = 0;
+  sim::Tick transfer(sim::Tick now, int from_pe, int to_pe, sim::Tick words);
 
   /// Occupy the contended link of the from->to route for `duration` ticks
   /// without counting a transfer (fault injection: a stalled/retried
-  /// transfer holding the link).
-  virtual void stall(sim::Tick now, int from_pe, int to_pe,
-                     sim::Tick duration) = 0;
+  /// transfer holding the link): the backbone for cross-cluster routes, the
+  /// shared cluster bus otherwise.
+  void stall(sim::Tick now, int from_pe, int to_pe, sim::Tick duration) {
+    link(from_pe, to_pe).stall(now, duration);
+  }
 
   /// Record a transfer corrupted by fault injection on the from->to link.
-  virtual void note_faulted(int from_pe, int to_pe) = 0;
+  void note_faulted(int from_pe, int to_pe) { link(from_pe, to_pe).note_faulted(); }
 
   // ---- per-bus statistics (organization display, benches, tests) ----
   [[nodiscard]] std::size_t bus_count() const { return buses_.size(); }
@@ -130,17 +145,24 @@ class Interconnect {
     return t;
   }
 
- protected:
-  [[nodiscard]] const CostModel& costs() const { return *costs_; }
-  [[nodiscard]] int pe_count() const { return pe_count_; }
+ private:
   /// Duration of one local (cluster-bus) transfer leg.
   [[nodiscard]] sim::Tick local_duration(sim::Tick words) const {
     return costs_->shared_access + words * costs_->bus_per_word;
   }
+  [[nodiscard]] Bus& cluster_bus(int pe) {
+    return buses_[static_cast<std::size_t>(cluster_of(pe))];
+  }
+  /// The backbone bus (hier/numa only): the one after the cluster buses.
+  [[nodiscard]] Bus& backbone() { return buses_[static_cast<std::size_t>(clusters_)]; }
+  /// The contended link of a route: the backbone when it crosses clusters.
+  [[nodiscard]] Bus& link(int from_pe, int to_pe) {
+    return crosses_backbone(from_pe, to_pe) ? backbone() : cluster_bus(from_pe);
+  }
 
   TopologySpec spec_;
-  int pe_count_;
   const CostModel* costs_;
+  int clusters_;
   std::vector<Bus> buses_;
   std::vector<std::string> labels_;
 };

@@ -1,18 +1,9 @@
 #include "flex/shared_heap.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace pisces::flex {
-
-std::size_t SharedHeap::size_class(std::size_t size) {
-  // Class k holds sizes in [kGranule * 2^k, kGranule * 2^(k+1)). Sizes are
-  // always >= kGranule after round_up, so granules >= 1.
-  const std::size_t granules = std::max<std::size_t>(size / kGranule, 1);
-  const auto k = static_cast<std::size_t>(std::bit_width(granules)) - 1;
-  return std::min(k, kSizeClasses - 1);
-}
 
 std::optional<std::size_t> SharedHeap::allocate(std::size_t bytes) {
   if (outage_) {
@@ -20,25 +11,21 @@ std::optional<std::size_t> SharedHeap::allocate(std::size_t bytes) {
     return std::nullopt;
   }
   const std::size_t need = round_up(std::max<std::size_t>(bytes, 1));
-  // The request's own class may hold blocks smaller than `need`; a
-  // lower_bound skips them. Every block in a higher class fits, so take its
-  // smallest entry (lowest offset on ties) — no scanning.
-  for (std::size_t k = size_class(need); k < kSizeClasses; ++k) {
-    const Bin& bin = bins_[k];
-    auto it = bin.lower_bound({need, 0});
-    if (it == bin.end()) continue;
-    const auto [size, offset] = *it;
-    erase_free(free_blocks_.find(offset));
-    const std::size_t remainder = size - need;
-    if (remainder > 0) insert_free(offset + need, remainder);
-    relink(allocated_, alloc_spares_, {offset, need});
-    in_use_ += need;
-    peak_in_use_ = std::max(peak_in_use_, in_use_);
-    ++total_allocations_;
-    return offset;
+  // The smallest block of at least `need` bytes, lowest offset on ties.
+  auto it = by_size_.lower_bound({need, 0});
+  if (it == by_size_.end()) {
+    ++failed_allocations_;
+    return std::nullopt;
   }
-  ++failed_allocations_;
-  return std::nullopt;
+  const auto [size, offset] = *it;
+  erase_free(free_blocks_.find(offset));
+  const std::size_t remainder = size - need;
+  if (remainder > 0) insert_free(offset + need, remainder);
+  relink(allocated_, alloc_spares_, {offset, need});
+  in_use_ += need;
+  peak_in_use_ = std::max(peak_in_use_, in_use_);
+  ++total_allocations_;
+  return offset;
 }
 
 void SharedHeap::release(std::size_t offset) {
@@ -76,13 +63,8 @@ std::size_t SharedHeap::block_size(std::size_t offset) const {
 }
 
 std::size_t SharedHeap::largest_free_block() const {
-  // The highest non-empty class holds the largest block as its last entry
-  // (bins are ordered by size): O(classes), not O(free blocks).
-  for (std::size_t k = kSizeClasses; k-- > 0;) {
-    const Bin& bin = bins_[k];
-    if (!bin.empty()) return std::prev(bin.end())->first;
-  }
-  return 0;
+  // The size index's last entry: O(1), not O(free blocks).
+  return by_size_.empty() ? 0 : std::prev(by_size_.end())->first;
 }
 
 double SharedHeap::fragmentation() const {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -15,21 +14,21 @@ namespace pisces::flex {
 /// The message-passing area of shared memory (paper Section 11): "a heap
 /// with explicit allocation/deallocation as messages are sent and accepted."
 ///
-/// Allocation uses segregated free lists: free blocks are binned into
-/// power-of-two size classes (class k holds sizes in [granule*2^k,
-/// granule*2^(k+1))). An allocation searches its own class for the smallest
-/// fitting block (best fit within the class, lowest offset on ties) and
-/// falls through to the next non-empty class, so the cost is O(log classes)
-/// instead of a first-fit walk of the whole free list. The address-ordered
-/// map of free blocks is kept alongside the bins so adjacent free blocks
-/// still coalesce on release. Offsets model shared-memory addresses; the
-/// heap tracks live/peak usage so the Section 13 storage experiment can show
-/// that message storage is dynamically recovered and reused.
+/// Allocation is best fit: free blocks are indexed by (size, offset), so
+/// one lower_bound finds the smallest fitting block (lowest offset on ties)
+/// in O(log free blocks) instead of a first-fit walk of the whole free
+/// list, and the index's last entry is the largest free block. The
+/// address-ordered map of free blocks is kept alongside the index so
+/// adjacent free blocks still coalesce on release. Offsets model
+/// shared-memory addresses; the heap tracks live/peak usage so the Section
+/// 13 storage experiment can show that message storage is dynamically
+/// recovered and reused.
 ///
-/// The bookkeeping nodes are recycled: a node unlinked from a bin, the free
-/// map or the allocated map is kept (as a C++17 node handle) in a spare
-/// stash and relinked on the next insert, so once the heap has seen its
-/// peak block count no allocate() or release() calls the host allocator.
+/// The bookkeeping nodes are recycled: a node unlinked from the size index,
+/// the free map or the allocated map is kept (as a C++17 node handle) in a
+/// spare stash and relinked on the next insert, so once the heap has seen
+/// its peak block count no allocate() or release() calls the host
+/// allocator.
 class SharedHeap {
  public:
   explicit SharedHeap(std::size_t capacity) : capacity_(capacity) {
@@ -71,20 +70,16 @@ class SharedHeap {
     return (bytes + kGranule - 1) / kGranule * kGranule;
   }
 
-  /// Power-of-two size class of a block of `size` bytes (size >= kGranule).
-  static std::size_t size_class(std::size_t size);
-  static constexpr std::size_t kSizeClasses = 48;
-
  private:
-  /// A free block in its size-class bin, ordered by (size, offset) so a
-  /// lower_bound on size yields the smallest fitting block deterministically.
-  using Bin = std::set<std::pair<std::size_t, std::size_t>>;
+  /// Free blocks ordered by (size, offset), so a lower_bound on size
+  /// yields the smallest fitting block deterministically.
+  using SizeIndex = std::set<std::pair<std::size_t, std::size_t>>;
 
   /// Value of the address-ordered free map: the block size plus a handle
-  /// into its size-class bin, so unlinking never re-searches the bin.
+  /// into the size index, so unlinking never re-searches it.
   struct FreeEntry {
     std::size_t size = 0;
-    Bin::iterator bin_it;
+    SizeIndex::iterator by_size_it;
   };
   using FreeMap = std::map<std::size_t, FreeEntry>;
 
@@ -109,11 +104,11 @@ class SharedHeap {
   }
 
   void insert_free(std::size_t offset, std::size_t size) {
-    auto bin_it = relink(bins_[size_class(size)], bin_spares_, {size, offset});
-    relink(free_blocks_, free_spares_, {offset, FreeEntry{size, bin_it}});
+    auto by_size_it = relink(by_size_, size_spares_, {size, offset});
+    relink(free_blocks_, free_spares_, {offset, FreeEntry{size, by_size_it}});
   }
   FreeMap::iterator erase_free(FreeMap::iterator it) {
-    bin_spares_.push_back(bins_[size_class(it->second.size)].extract(it->second.bin_it));
+    size_spares_.push_back(by_size_.extract(it->second.by_size_it));
     auto next = std::next(it);
     free_spares_.push_back(free_blocks_.extract(it));
     return next;
@@ -121,10 +116,10 @@ class SharedHeap {
 
   std::size_t capacity_;
   FreeMap free_blocks_;                             ///< offset -> entry (address order)
-  std::array<Bin, kSizeClasses> bins_;              ///< segregated by size class
+  SizeIndex by_size_;                               ///< (size, offset) of each free block
   AllocMap allocated_;                              ///< offset -> size
   // Unlinked nodes kept for reuse (see the class comment).
-  std::vector<Bin::node_type> bin_spares_;
+  std::vector<SizeIndex::node_type> size_spares_;
   std::vector<FreeMap::node_type> free_spares_;
   std::vector<AllocMap::node_type> alloc_spares_;
   bool outage_ = false;

@@ -10,24 +10,13 @@ Supervisor::Supervisor(rt::Runtime& rt, config::SupervisionConfig cfg)
   default_policy_.backoff_base = cfg.backoff_base;
   default_policy_.backoff_factor = cfg.backoff_factor;
   default_policy_.backoff_cap = cfg.backoff_cap;
-  rt_->set_task_start_hook(
-      [this](const rt::Runtime::TaskStartInfo& i) { on_start(i); });
-  rt_->set_termination_hook(
-      [this](const rt::Runtime::TerminationInfo& i) { on_termination(i); });
-  rt_->set_send_fail_hook(
-      [this](const rt::Runtime::SendFailInfo& i) { on_send_fail(i); });
-  rt_->set_work_migration(cfg.migrate);
+  rt_->set_supervision_observer(this);
 }
 
 Supervisor::Supervisor(rt::Runtime& rt)
     : Supervisor(rt, config::SupervisionConfig{.enabled = true}) {}
 
-Supervisor::~Supervisor() {
-  rt_->set_task_start_hook(nullptr);
-  rt_->set_termination_hook(nullptr);
-  rt_->set_send_fail_hook(nullptr);
-  rt_->set_work_migration(false);
-}
+Supervisor::~Supervisor() { rt_->set_supervision_observer(nullptr); }
 
 void Supervisor::supervise(const std::string& tasktype, RestartPolicy policy) {
   by_tasktype_[tasktype] = policy;
@@ -40,52 +29,45 @@ const RestartPolicy* Supervisor::policy_for(const std::string& tasktype) const {
   return cfg_.enabled ? &default_policy_ : nullptr;
 }
 
-void Supervisor::trace(rt::TaskId task, rt::TaskId other, std::string info) {
-  trace::Record r;
-  r.kind = trace::EventKind::supervision;
-  r.at = rt_->engine().now();
-  r.task = task;
-  r.other = other;
-  r.info = std::move(info);
-  rt_->tracer().record(std::move(r));
+void Supervisor::trace(rt::TaskId task, rt::TaskId other, const std::string& info) {
+  rt_->tracer().record(trace::EventKind::supervision, rt_->engine().now(), task,
+                       other, 0, 0, info);
 }
 
-void Supervisor::on_start(const rt::Runtime::TaskStartInfo& info) {
-  parent_of_[info.id] = info.parent;
-  if (info.tag == 0) return;
-  auto it = lineages_.find(info.tag);
+void Supervisor::on_task_start(rt::TaskId id, rt::TaskId parent,
+                               const std::string& tasktype, std::uint64_t tag) {
+  parent_of_[id] = parent;
+  if (tag == 0) return;
+  auto it = lineages_.find(tag);
   if (it == lineages_.end()) return;  // tag from an earlier, closed lineage
-  incarnation_[info.id] = info.tag;
+  incarnation_[id] = tag;
   ++stats_.restarts_started;
-  recoveries_.push_back({info.tasktype, it->second.attempts,
+  recoveries_.push_back({tasktype, it->second.attempts,
                          it->second.died_at, rt_->engine().now()});
-  trace(info.id, info.parent,
-        "restart-start " + info.tasktype + " attempt=" +
+  trace(id, parent,
+        "restart-start " + tasktype + " attempt=" +
             std::to_string(it->second.attempts));
 }
 
-void Supervisor::on_termination(const rt::Runtime::TerminationInfo& info) {
+void Supervisor::on_termination(rt::TaskId id, rt::TaskId parent,
+                                const std::string& tasktype,
+                                const std::vector<rt::Value>& init_args) {
   std::uint64_t tag = 0;
-  if (auto it = incarnation_.find(info.id); it != incarnation_.end()) {
+  if (auto it = incarnation_.find(id); it != incarnation_.end()) {
     tag = it->second;
     incarnation_.erase(it);
   }
   if (tag == 0) {
-    const RestartPolicy* pol = policy_for(info.tasktype);
+    const RestartPolicy* pol = policy_for(tasktype);
     if (pol == nullptr) return;  // unsupervised
     tag = ++next_tag_;
-    Lineage lin;
-    lin.tasktype = info.tasktype;
-    lin.parent = info.parent;
-    lin.args = info.init_args;
-    lin.policy = *pol;
-    lineages_.emplace(tag, std::move(lin));
+    lineages_.emplace(tag, Lineage{tasktype, parent, init_args, *pol});
   }
   Lineage& lin = lineages_.at(tag);
   lin.died_at = rt_->engine().now();
   if (lin.attempts >= lin.policy.max_restarts) {
     ++stats_.budgets_exhausted;
-    escalate(lin, info.id, "restart budget exhausted");
+    escalate(lin, id, "restart budget exhausted");
     lineages_.erase(tag);
     return;
   }
@@ -93,22 +75,24 @@ void Supervisor::on_termination(const rt::Runtime::TerminationInfo& info) {
   const auto delay = sim::capped_backoff(lin.policy.backoff_base, lin.policy.backoff_factor,
                                         lin.policy.backoff_cap, lin.attempts);
   ++stats_.restarts_scheduled;
-  trace(info.id, info.parent,
-        "restart-scheduled " + info.tasktype + " attempt=" +
+  trace(id, parent,
+        "restart-scheduled " + tasktype + " attempt=" +
             std::to_string(lin.attempts) + " delay=" + std::to_string(delay));
   rt_->engine().schedule(rt_->engine().now() + delay,
                          [this, tag] { fire_restart(tag); });
 }
 
-void Supervisor::on_send_fail(const rt::Runtime::SendFailInfo& info) {
+void Supervisor::on_send_fail(rt::TaskId sender, rt::TaskId dest,
+                              const std::string& type, int attempts,
+                              const std::string& reason) {
   // Transport-failed, not task-died: the destination may be healthy behind
   // a closed partition window, so no lineage state is touched and no
   // restart is scheduled — the failure is recorded and traced, and the
   // sender already holds the typed _SENDFAIL to react at protocol level.
   ++stats_.transport_failures;
-  trace(info.sender, info.dest,
-        "transport-fail " + info.type + " attempts=" +
-            std::to_string(info.attempts) + " (" + info.reason + ")");
+  trace(sender, dest,
+        "transport-fail " + type + " attempts=" +
+            std::to_string(attempts) + " (" + reason + ")");
 }
 
 void Supervisor::fire_restart(std::uint64_t tag) {

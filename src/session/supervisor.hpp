@@ -56,16 +56,16 @@ struct RecoveryRecord {
 /// attempts, reason) message is delivered to the nearest live ancestor in
 /// the task tree, climbing past dead intermediates.
 ///
-/// Everything is driven off deterministic runtime hooks and engine timers,
-/// so a supervised run replays bit-identically per seed.
+/// Everything is driven off deterministic runtime notifications and engine
+/// timers, so a supervised run replays bit-identically per seed.
 ///
 /// Lifetime: attach after construction of the Runtime and keep the
-/// Supervisor alive for the whole run (the destructor detaches the hooks).
-class Supervisor {
+/// Supervisor alive for the whole run (the destructor detaches it).
+class Supervisor final : public rt::Runtime::SupervisionObserver {
  public:
   /// Attach to a runtime. `cfg.enabled` makes every user tasktype
   /// supervised with the config's policy; otherwise only tasktypes named
-  /// via supervise() are. `cfg.migrate` flips the runtime's queued-work
+  /// via supervise() are. `cfg.migrate` turns the runtime's queued-work
   /// migration on.
   Supervisor(rt::Runtime& rt, config::SupervisionConfig cfg);
   /// Convenience: supervise everything with the default policy.
@@ -95,14 +95,18 @@ class Supervisor {
     sim::Tick died_at = 0;
   };
 
-  void on_start(const rt::Runtime::TaskStartInfo& info);
-  void on_termination(const rt::Runtime::TerminationInfo& info);
-  void on_send_fail(const rt::Runtime::SendFailInfo& info);
+  void on_task_start(rt::TaskId id, rt::TaskId parent, const std::string& tasktype,
+                     std::uint64_t tag) override;
+  void on_termination(rt::TaskId id, rt::TaskId parent, const std::string& tasktype,
+                      const std::vector<rt::Value>& init_args) override;
+  void on_send_fail(rt::TaskId sender, rt::TaskId dest, const std::string& type,
+                    int attempts, const std::string& reason) override;
+  [[nodiscard]] bool migrate_work() const override { return cfg_.migrate; }
   void fire_restart(std::uint64_t tag);
   void escalate(const Lineage& lin, rt::TaskId child, const std::string& why);
   [[nodiscard]] const RestartPolicy* policy_for(
       const std::string& tasktype) const;
-  void trace(rt::TaskId task, rt::TaskId other, std::string info);
+  void trace(rt::TaskId task, rt::TaskId other, const std::string& info);
 
   rt::Runtime* rt_;
   config::SupervisionConfig cfg_;

@@ -1,8 +1,10 @@
 #include "trace/analyzer.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <istream>
 #include <sstream>
+#include <string_view>
 
 namespace pisces::trace {
 
@@ -146,36 +148,67 @@ std::string Analyzer::report() const {
   return os.str();
 }
 
+namespace {
+
+/// Read `field` whole into `out`; false when it is empty, has trailing
+/// characters or is out of range.
+template <class T>
+bool read(std::string_view field, T& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// A taskid written "cluster:slot:unique".
+bool read(std::string_view field, rt::TaskId& out) {
+  const auto a = field.find(':');
+  const auto b = field.find(':', a + 1);  // npos when `a` is
+  return b != std::string_view::npos && read(field.substr(0, a), out.cluster) &&
+         read(field.substr(a + 1, b - a - 1), out.slot) &&
+         read(field.substr(b + 1), out.unique);
+}
+
+/// One line as Record::format writes it, or nullopt when it is not one.
+/// `info` is the rest of the line, spaces included.
+std::optional<Record> parse_line(std::string_view line) {
+  auto next_token = [&line] {
+    const auto space = line.find(' ');
+    const std::string_view token = line.substr(0, space);
+    line = space == std::string_view::npos ? std::string_view{} : line.substr(space + 1);
+    return token;
+  };
+  if (next_token() != "TRACE") return std::nullopt;
+  const auto kind = kind_from_name(next_token());
+  if (!kind.has_value()) return std::nullopt;
+  Record r{.kind = *kind, .info = {}};
+  while (!line.empty()) {
+    if (line.starts_with("info=")) {
+      r.info = line.substr(5);
+      break;
+    }
+    const std::string_view field = next_token();
+    const auto eq = field.find('=');
+    if (eq == std::string_view::npos) return std::nullopt;
+    const std::string_view key = field.substr(0, eq);
+    const std::string_view val = field.substr(eq + 1);
+    const bool ok = key == "t"       ? read(val, r.at)
+                    : key == "pe"    ? read(val, r.pe)
+                    : key == "seq"   ? read(val, r.seq)
+                    : key == "task"  ? read(val, r.task)
+                    : key == "other" ? read(val, r.other)
+                                     : false;
+    if (!ok) return std::nullopt;
+  }
+  return r;
+}
+
+}  // namespace
+
 std::vector<Record> Analyzer::parse(std::istream& is) {
   std::vector<Record> out;
   std::string line;
-  auto parse_taskid = [](const std::string& s) {
-    rt::TaskId id;
-    std::sscanf(s.c_str(), "%d:%d:%llu", &id.cluster, &id.slot,
-                reinterpret_cast<unsigned long long*>(&id.unique));
-    return id;
-  };
   while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string tag, kind_str;
-    if (!(ls >> tag >> kind_str) || tag != "TRACE") continue;
-    const auto kind = kind_from_name(kind_str);
-    if (!kind.has_value()) continue;
-    Record r{.kind = *kind};
-    std::string field;
-    while (ls >> field) {
-      const auto eq = field.find('=');
-      if (eq == std::string::npos) continue;
-      const std::string key = field.substr(0, eq);
-      const std::string val = field.substr(eq + 1);
-      if (key == "t") r.at = std::stoll(val);
-      else if (key == "pe") r.pe = std::stoi(val);
-      else if (key == "task") r.task = parse_taskid(val);
-      else if (key == "other") r.other = parse_taskid(val);
-      else if (key == "seq") r.seq = std::stoull(val);
-      else if (key == "info") r.info = val;
-    }
-    out.push_back(std::move(r));
+    if (auto r = parse_line(line)) out.push_back(std::move(*r));
   }
   return out;
 }

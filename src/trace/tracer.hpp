@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "trace/event.hpp"
@@ -42,6 +43,12 @@ class Tracer {
 
   void record(Record r) {
     if (tally(r.kind, r.task)) emit(r);
+  }
+  /// As record(), from the fields: the record is built only when a sink
+  /// will take it.
+  void record(EventKind kind, sim::Tick at, rt::TaskId task, rt::TaskId other,
+              int pe, std::uint64_t seq, const std::string& info) {
+    if (tally(kind, task)) emit(Record{kind, at, pe, task, other, seq, info});
   }
 
   /// The first half of record(): count one event of kind `k` for `task`

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 
 #include "trace/analyzer.hpp"
@@ -111,6 +112,15 @@ TEST(Analyzer, ParseRoundTripsFormattedLines) {
       make(EventKind::msg_accept, 300, rt::TaskId{2, 3, 2}, 7),
       make(EventKind::task_term, 500, rt::TaskId{1, 3, 1}),
   };
+  // Multi-word info texts, as the runtime traces them.
+  for (const char* info : {"barrier members=3 k=4 depth=1",
+                           "migrate-message _INITIATE cluster=1",
+                           "bus-partition-begin 1|3", "_INITIATE (no message storage)"}) {
+    records.push_back(make(EventKind::collective, 650, rt::TaskId{1, 4, 9}, 0,
+                           rt::TaskId{2, 0, 3}));
+    records.back().pe = 12;
+    records.back().info = info;
+  }
   std::stringstream ss;
   StreamSink sink(ss);
   for (const auto& r : records) sink.emit(r);
@@ -121,7 +131,73 @@ TEST(Analyzer, ParseRoundTripsFormattedLines) {
     EXPECT_EQ(parsed[i].at, records[i].at);
     EXPECT_EQ(parsed[i].task, records[i].task);
     EXPECT_EQ(parsed[i].seq, records[i].seq);
+    EXPECT_EQ(parsed[i].pe, records[i].pe);
+    EXPECT_EQ(parsed[i].other, records[i].other);
+    EXPECT_EQ(parsed[i].info, records[i].info);
   }
+}
+
+TEST(Analyzer, ParseSkipsMalformedLines) {
+  std::istringstream in(
+      "TRACE MSG-SEND t=12x3 pe=3 task=1:3:1\n"
+      "TRACE MSG-SEND t=99999999999999999999 pe=3 task=1:3:1\n"
+      "TRACE MSG-SEND t=5 pe=3 task=1:3\n"
+      "TRACE MSG-SEND t=5 pe= task=1:3:1\n"
+      "TRACE MSG-SEND t=5 pe=3 task=1:3:1 seq\n"
+      "TRACE MSG-SEND t=5 pe=3 task=1:3:1 bogus=1\n"
+      "TRACE NO-SUCH-KIND t=5\n"
+      "TRACE LOCK t=7 pe=4 task=1:3:1 info=a b  c\n");
+  const auto parsed = Analyzer::parse(in);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].kind, EventKind::lock);
+  EXPECT_EQ(parsed[0].at, 7);
+  EXPECT_EQ(parsed[0].pe, 4);
+  EXPECT_EQ(parsed[0].info, "a b  c");
+}
+
+// Seeded mutations of formatted lines (bit flips, dropped tokens, inserted
+// digits and separators, truncation): parse() never throws, and every line
+// it accepts formats to a line that parses back to the same text.
+TEST(Analyzer, MutatedTraceLinesNeverThrow) {
+  std::mt19937_64 rng(20261020);
+  auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  std::vector<Record> base = {
+      make(EventKind::msg_send, 150, rt::TaskId{1, 3, 1}, 7, rt::TaskId{2, 3, 2}),
+      make(EventKind::task_init, 100, rt::TaskId{1, 3, 1}),
+  };
+  base.push_back(base[0]);
+  base.back().info = "barrier members=3 k=4 depth=1";
+  int accepted = 0;
+  for (int i = 0; i < 5000; ++i) {
+    std::string line = base[pick(base.size())].format();
+    for (std::size_t n = 1 + pick(3); n > 0; --n) {
+      const std::size_t at = pick(line.size() + 1);
+      switch (pick(5)) {
+        case 0:
+          if (at < line.size()) line[at] = static_cast<char>(line[at] ^ (1 << pick(8)));
+          break;
+        case 1: {  // drop the token starting after the next space
+          const auto from = line.find(' ', at);
+          if (from != std::string::npos) line.erase(from, line.find(' ', from + 1) - from);
+          break;
+        }
+        case 2: line.insert(at, std::to_string(rng())); break;
+        case 3: line.insert(at, pick(2) == 0 ? " " : "="); break;
+        case 4: line.resize(at); break;
+      }
+    }
+    std::istringstream in(line);
+    std::vector<Record> parsed;
+    ASSERT_NO_THROW(parsed = Analyzer::parse(in)) << line;
+    for (const Record& r : parsed) {
+      ++accepted;
+      std::istringstream again(r.format());
+      const auto twice = Analyzer::parse(again);
+      ASSERT_EQ(twice.size(), 1u) << line;
+      EXPECT_EQ(twice[0].format(), r.format()) << line;
+    }
+  }
+  EXPECT_GT(accepted, 100);
 }
 
 TEST(Analyzer, TaskLifetimesAndMessageLatencies) {
